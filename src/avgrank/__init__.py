@@ -40,9 +40,11 @@ from .families import (
     U1,
     U2,
     average_rank_experiment,
+    box_grid,
     enumerate_C,
     enumerate_D,
     rank_bound,
+    rank_bound_terms,
     weight_wT,
 )
 from .moments import (

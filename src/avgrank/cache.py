@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .arith import PrimeTable, sieve_primes
-from .curves import ap
-from .families import enumerate_C
+from .curves import ap, sigma_p_batch
+from .families import box_grid, enumerate_C
 from .weights import h_X
 
 __all__ = [
@@ -55,37 +55,38 @@ class ApCache:
     def __post_init__(self):
         if self.records.ndim != 2 or self.records.shape[1] != 4:
             raise ValueError("records must be an (n, 4) array")
+        # contiguous key columns, so a binary search never copies a column
+        object.__setattr__(self, "_keys", np.ascontiguousarray(self.records[:, :3].T))
 
     def __len__(self) -> int:
         return len(self.records)
 
     def lookup(self, r: int, s: int, p: int) -> int | None:
-        """a_p for the given key, or None when absent (binary search)."""
-        key = np.array([r, s, p], dtype=np.int64)
+        """a_p for the given key, or None when absent.
+
+        Narrows the sorted records to the r block, then the s block, then
+        the p row, by binary search on each key column.
+        """
         lo, hi = 0, len(self.records)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            row = self.records[mid, :3]
-            if tuple(row) < tuple(key):
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.records) and (self.records[lo, :3] == key).all():
-            return int(self.records[lo, 3])
-        return None
+        for keys, v in zip(self._keys, (r, s, p)):
+            block = keys[lo:hi]
+            lo, hi = lo + np.searchsorted(block, v, "left"), lo + np.searchsorted(block, v, "right")
+        return int(self.records[lo, 3]) if lo < hi else None
 
 
 def cache_build(T: float, X: float, primes: PrimeTable | None = None) -> ApCache:
     """Traces of every minimal curve in the box for all 5 <= p <= X."""
     if primes is None:
         primes = sieve_primes(int(X))
-    ps = [p for p in primes.in_range(5, X)]
-    rows = []
-    for cur in enumerate_C(T):
-        for p in ps:
-            rows.append((cur.r, cur.s, p, ap(cur, p).ap))
-    rows.sort()
-    arr = np.asarray(rows, dtype=np.int64).reshape(len(rows), 4)
+    ps = primes.in_range(5, X)
+    R, S = box_grid(T)
+    traces = np.empty((len(R), len(ps)), dtype=np.int64)
+    for j, p in enumerate(ps):
+        traces[:, j] = sigma_p_batch(R, S, p)
+    n = len(ps)
+    arr = np.column_stack(
+        (np.repeat(R, n), np.repeat(S, n), np.tile(np.asarray(ps, dtype=np.int64), len(R)), traces.ravel())
+    )
     return ApCache(records=arr)
 
 

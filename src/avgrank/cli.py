@@ -42,9 +42,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no NaN: an undefined average is written as null."""
+    return None if math.isnan(x) else x
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, separators=(",", ": "))
+        json.dump(obj, fh, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
         fh.write("\n")
 
 
@@ -200,14 +205,16 @@ def cmd_twists(args) -> int:
     weight = weights.bump(0.5, 1.0)
     neg_weight = weights.bump(-1.0, -0.5)
     reports = {}
-    for sign in (1, -1):
-        rep_pos = twists.twist_average_experiment(
-            twists.TwistFamily(base=base, N=N, w=w, sign=sign, weight=weight), T, X, C0
-        )
-        rep_neg = twists.twist_average_experiment(
-            twists.TwistFamily(base=base, N=N, w=w, sign=sign, weight=neg_weight), T, X, C0
-        )
-        reports[sign] = (rep_pos, rep_neg)
+    try:
+        for sign in (1, -1):
+            reports[sign] = tuple(
+                twists.twist_average_experiment(
+                    twists.TwistFamily(base=base, N=N, w=w, sign=sign, weight=wgt), T, X, C0
+                )
+                for wgt in (weight, neg_weight)
+            )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     with open(args.out_csv, "w", newline="\n") as fh:
         fh.write(TWISTS_HEADER + "\n")
         rows = []
@@ -269,10 +276,10 @@ def cmd_twists(args) -> int:
             "W_minus": W_minus,
             "W_unsigned": unsigned_total,
             "partition_gap": abs(unsigned_total - W_plus - W_minus),
-            "avg_bound_plus": avg_plus,
-            "avg_bound_minus": avg_minus,
-            "proportion_rank0_lower": prop0,
-            "proportion_rank1_lower": prop1,
+            "avg_bound_plus": _finite_or_none(avg_plus),
+            "avg_bound_minus": _finite_or_none(avg_minus),
+            "proportion_rank0_lower": _finite_or_none(prop0),
+            "proportion_rank1_lower": _finite_or_none(prop1),
             "class_sign_map": {k: sorted(v) for k, v in sorted(class_map.items())},
         },
     )
@@ -420,6 +427,8 @@ def cmd_cache(args) -> int:
         _require(args, "path")
         try:
             c = cache_mod.cache_load(args.path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read cache {args.path}: {exc.strerror}") from exc
         except cache_mod.CorruptCacheError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VERIFY_FAILED

@@ -23,7 +23,15 @@ from typing import Iterator
 import numpy as np
 
 from .arith import PrimeTable, sieve_primes
-from .curves import Curve, ap, c_pk, conductor_surrogate, is_minimal, sigma_p_batch
+from .curves import (
+    Curve,
+    ap,
+    c_pk,
+    conductor_surrogate,
+    discriminant,
+    is_minimal,
+    sigma_p_batch,
+)
 from .weights import SmoothWeight, even_bump, h_X
 
 __all__ = [
@@ -33,11 +41,13 @@ __all__ = [
     "int_root",
     "enumerate_D",
     "enumerate_C",
+    "box_grid",
     "weight_wT",
     "S_T",
     "U1",
     "U2",
     "rank_bound",
+    "rank_bound_terms",
     "average_rank_experiment",
     "lemma2_lhs",
 ]
@@ -103,39 +113,43 @@ def weight_wT(curve: Curve, params: FamilyParams) -> float:
 # flat-array family grid (the batch workhorse)
 
 
+def box_grid(
+    T: float, minimal_only: bool = True, exclude_singular: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, S) arrays of the unweighted box family, row-major in (r, s).
+
+    The defaults give C(T); minimal_only=False gives D(T).  A model is
+    non-minimal when it is (0, 0) or some prime has p^4 | r and p^6 | s;
+    such a p satisfies p^4 <= |r| or p^6 <= |s|.
+    """
+    rmax, smax = int_root(T, 3), int_root(T, 2)
+    R = np.repeat(np.arange(-rmax, rmax + 1, dtype=np.int64), 2 * smax + 1)
+    S = np.tile(np.arange(-smax, smax + 1, dtype=np.int64), 2 * rmax + 1)
+    keep = np.ones(len(R), dtype=bool)
+    if exclude_singular:
+        keep &= 4 * R**3 + 27 * S**2 != 0
+    if minimal_only:
+        keep &= (R != 0) | (S != 0)
+        for p in sieve_primes(max(int_root(rmax, 4), int_root(smax, 6))):
+            keep &= (R % p**4 != 0) | (S % p**6 != 0)
+    return R[keep], S[keep]
+
+
 def _family_grid(params: FamilyParams):
     """(R, S, W, delta) arrays for the curves inside the weight support.
 
     Applies the singularity / minimality filters demanded by params; curves
-    with zero weight are dropped up front.
+    with zero weight are dropped.
     """
     T = params.T
     rmax, smax = int_root(T, 3), int_root(T, 2)
-    rv = np.arange(-rmax, rmax + 1, dtype=np.int64)
-    sv = np.arange(-smax, smax + 1, dtype=np.int64)
-    wr = np.asarray(params.weight_r(rv * T ** (-1 / 3)), dtype=np.float64)
-    ws = np.asarray(params.weight_s(sv * T ** (-1 / 2)), dtype=np.float64)
-    rv, wr = rv[wr > 0], wr[wr > 0]
-    sv, ws = sv[ws > 0], ws[ws > 0]
-    R = np.repeat(rv, len(sv))
-    S = np.tile(sv, len(rv))
-    W = np.repeat(wr, len(ws)) * np.tile(ws, len(rv))
-    delta = -16 * (4 * R**3 + 27 * S**2)
-    keep = np.ones(len(R), dtype=bool)
-    if params.exclude_singular:
-        keep &= delta != 0
-    if params.minimal_only:
-        for i, r in enumerate(rv):
-            row = slice(i * len(sv), (i + 1) * len(sv))
-            if r == 0:
-                # p^4 | 0 for every p, so s must be free of sixth powers
-                fourth = list(sieve_primes(int_root(smax, 6)))
-                keep[row] &= S[row] != 0
-            else:
-                fourth = [p for p in sieve_primes(int_root(abs(int(r)), 4)) if r % p**4 == 0]
-            for p in fourth:
-                keep[row] &= S[row] % p**6 != 0
-    return R[keep], S[keep], W[keep], delta[keep]
+    wr = np.asarray(params.weight_r(np.arange(-rmax, rmax + 1) * T ** (-1 / 3)), dtype=np.float64)
+    ws = np.asarray(params.weight_s(np.arange(-smax, smax + 1) * T ** (-1 / 2)), dtype=np.float64)
+    R, S = box_grid(T, params.minimal_only, params.exclude_singular)
+    wr, ws = wr[R + rmax], ws[S + smax]
+    inside = (wr > 0) & (ws > 0)
+    R, S = R[inside], S[inside]
+    return R, S, wr[inside] * ws[inside], discriminant(R, S)
 
 
 def S_T(params: FamilyParams) -> float:
@@ -183,11 +197,16 @@ def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: PrimeTable | Non
     )
 
 
-def _u_sums_batch(R, S, delta, X: float, primes: PrimeTable):
-    """(U1, U2) arrays for a family, batched per prime."""
-    n = len(R)
-    u1 = np.zeros(n)
-    u2 = np.zeros(n)
+def rank_bound_terms(
+    R: np.ndarray, S: np.ndarray, X: float, primes: PrimeTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log N_surrogate, U1, U2) arrays for a family, batched per prime.
+
+    The prime sums accumulate in increasing p, one array update per prime.
+    """
+    delta = discriminant(R, S)
+    u1 = np.zeros(len(R))
+    u2 = np.zeros(len(R))
     for p in primes.in_range(5, X):
         sig = sigma_p_batch(R, S, p)
         lp = math.log(p)
@@ -196,7 +215,7 @@ def _u_sums_batch(R, S, delta, X: float, primes: PrimeTable):
             bad = delta % p == 0
             c = np.where(bad, -(sig * sig) / (2.0 * p * p), -(sig * sig - 2.0 * p) / (2.0 * p * p))
             u2 += c * 2.0 * lp * h_X(2.0 * lp, X)
-    return u1, u2
+    return _conductor_batch(R, delta), u1, u2
 
 
 def _conductor_batch(R: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -279,16 +298,15 @@ def average_rank_experiment(
     params: FamilyParams, X: float, C0: float = 0.0, primes: PrimeTable | None = None
 ) -> RankBoundReport:
     """Weighted averages of every rank-bound term over the minimal family."""
-    if X > params.T ** (5 / 6):
-        raise ValueError("average_rank_experiment requires X <= T^(5/6)")
+    if not 1 < X <= params.T ** (5 / 6):
+        raise ValueError("average_rank_experiment requires 1 < X <= T^(5/6)")
     if primes is None:
         primes = sieve_primes(int(X))
-    R, S, W, delta = _family_grid(params)
+    R, S, W, _ = _family_grid(params)
     if len(R) == 0:
         raise ValueError("empty family: weight support contains no lattice points")
     logX = math.log(X)
-    u1, u2 = _u_sums_batch(R, S, delta, X, primes)
-    logn = _conductor_batch(R, delta)
+    logn, u1, u2 = rank_bound_terms(R, S, X, primes)
     logn_term = logn / logX
     u1_term = (2.0 / logX) * u1
     u2_term = (2.0 / logX) * u2

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arith import PrimeTable, sieve_primes
 from .curves import Curve, sigma_p, sigma_p_batch
-from .families import enumerate_C, enumerate_D, int_root, rank_bound
+from .families import box_grid, rank_bound_terms
 from .weights import h_X
 
 __all__ = [
@@ -54,19 +54,9 @@ def V(curve: Curve, X: float, primes: PrimeTable) -> float:
     return math.fsum(terms)
 
 
-def _box_arrays(T: float):
-    rmax, smax = int_root(T, 3), int_root(T, 2)
-    rv = np.arange(-rmax, rmax + 1, dtype=np.int64)
-    sv = np.arange(-smax, smax + 1, dtype=np.int64)
-    R = np.repeat(rv, len(sv))
-    S = np.tile(sv, len(rv))
-    keep = 4 * R**3 + 27 * S**2 != 0
-    return R[keep], S[keep]
-
-
 def V_family(T: float, X: float, primes: PrimeTable) -> np.ndarray:
     """V(E, X) for every curve of D(T), in row-major (r, s) order."""
-    R, S = _box_arrays(T)
+    R, S = box_grid(T, minimal_only=False)
     out = np.zeros(len(R))
     for p in primes.in_range(101, X):
         out += (math.log(p) / p) * h_X(math.log(p), X) * sigma_p_batch(R, S, p)
@@ -88,21 +78,28 @@ def moment_2k(T: float, X: float, k: int, primes: PrimeTable | None = None) -> f
 
 
 def count_C(T: float) -> int:
-    return sum(1 for _ in enumerate_C(T))
+    return len(box_grid(T)[0])
 
 
 def density_bound(
-    T: float, X: float, k: int, R: float, primes: PrimeTable | None = None
+    T: float,
+    X: float,
+    k: int,
+    R: float,
+    primes: PrimeTable | None = None,
+    n_C: int | None = None,
 ) -> float:
     """Markov bound moment_2k / ((log T / 2)^(2k) * #C(T)) for rank >= R.
 
     Only meaningful when R >= 3 + 2 log T / log X, the regime where the
-    explicit formula forces |V| >= (log T) / 2.
+    explicit formula forces |V| >= (log T) / 2.  n_C, when given, is #C(T).
     """
     if R < 3 + 2 * math.log(T) / math.log(X):
         raise ValueError("density_bound requires R >= 3 + 2 log T / log X")
     m = moment_2k(T, X, k, primes)
-    return m / ((0.5 * math.log(T)) ** (2 * k) * count_C(T))
+    if n_C is None:
+        n_C = count_C(T)
+    return m / ((0.5 * math.log(T)) ** (2 * k) * n_C)
 
 
 def type1_S(X: float, primes: PrimeTable | None = None) -> float:
@@ -173,23 +170,29 @@ def high_rank_census(
     """Proxy census of high rank-bound curves plus Markov density bounds.
 
     The census thresholds the explicit-formula rank bound (true analytic
-    ranks are out of reach); the Markov column uses the |V| moment
+    ranks are out of reach), evaluated for all of C(T) by the batch route
+    of average_rank_experiment; the Markov column uses the |V| moment
     mechanism with k and X chosen as in the density analysis.
     """
+    if X <= 1 or T <= math.e:
+        raise ValueError("high_rank_census requires X > 1 and T > e")
     if primes is None:
         primes = sieve_primes(int(X))
-    bounds = [rank_bound(cur, X, C0, primes) for cur in enumerate_C(T)]
-    n_C = len(bounds)
-    n_D = sum(1 for _ in enumerate_D(T))
+    Rs, Ss = box_grid(T)
+    logn, u1, u2 = rank_bound_terms(Rs, Ss, X, primes)
+    logX = math.log(X)
+    bounds = logn / logX + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
+    n_C = len(Rs)
+    n_D = len(box_grid(T, minimal_only=False)[0])
     rows = []
     for R in range(0, R_max + 1):
-        census = sum(1 for b in bounds if b >= R)
+        census = int((bounds >= R).sum())
         k = optimal_k(R)
         XR = T ** (1.0 / (6 * k))
         markov = None
         if XR >= 2 and R >= 3 + 2 * math.log(T) / math.log(XR):
             mp = sieve_primes(int(XR)) if XR > primes.limit else primes
-            markov = density_bound(T, XR, k, R, mp)
+            markov = density_bound(T, XR, k, R, mp, n_C)
         rows.append(CensusRow(R=R, census=census, markov_bound=markov, reference=reference_decay(R)))
     cutoff = 11 * math.log(T) / math.log(math.log(T))
     return MomentReport(T=T, X=X, C0=C0, rows=tuple(rows), rank_cutoff=cutoff, n_C=n_C, n_D=n_D)

@@ -224,8 +224,8 @@ def twist_average_experiment(
     D and of the base discriminant, and the crude N*D^2 bound is reported
     alongside as a diagnostic.
     """
-    if X > T * T:
-        raise ValueError("twist_average_experiment requires X <= T^2")
+    if not 1 < X <= T * T:
+        raise ValueError("twist_average_experiment requires 1 < X <= T^2")
     if primes is None:
         primes = sieve_primes(int(X))
     logX = math.log(X)

@@ -41,6 +41,16 @@ def test_cache_lookup():
     assert c.lookup(999, 999, 5) is None
 
 
+def test_cache_lookup_misses():
+    c = cache_build(20.0, 15.0)
+    r, s = (int(x) for x in c.records[0, :2])
+    assert c.lookup(r, s, 6) is None  # key falls between two p records
+    assert c.lookup(r, s, 17) is None  # past the last p of the (r, s) block
+    assert c.lookup(r - 1, s, 5) is None  # before the first record
+    assert c.lookup(r, 10**6, 5) is None
+    assert ApCache(records=np.empty((0, 4), dtype=np.int64)).lookup(0, 1, 5) is None
+
+
 def test_cache_load_rejects_truncation(tmp_path):
     c = cache_build(10.0, 10.0)
     path = tmp_path / "c.apcache"
@@ -303,3 +313,60 @@ def test_cli_cache_build_and_check(tmp_path):
     out.write_bytes(bytes(raw))
     rc = run_cli(["cache", "check", "--path", str(out)])
     assert rc == 4
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_cli_twists_X_above_T_squared_exits_2(tmp_path, capsys):
+    rc = run_cli(
+        [
+            "twists", "--r", "1", "--s", "1", "--N", "49", "--w", "1",
+            "--T", "10", "--X", "1000",
+            "--out-csv", str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json"),
+        ]
+    )
+    assert rc == 2
+    assert "X <= T^2" in _one_error_line(capsys)
+
+
+def test_cli_density_X_1_exits_2(tmp_path, capsys):
+    rc = run_cli(
+        [
+            "density", "--T", "200", "--X", "1",
+            "--out-csv", str(tmp_path / "d.csv"), "--out-json", str(tmp_path / "d.json"),
+        ]
+    )
+    assert rc == 2
+    assert "X > 1" in _one_error_line(capsys)
+
+
+def test_cli_cache_check_missing_file_exits_2(tmp_path, capsys):
+    rc = run_cli(["cache", "check", "--path", str(tmp_path / "missing.apcache")])
+    assert rc == 2
+    assert "missing.apcache" in _one_error_line(capsys)
+
+
+def test_cli_twists_empty_class_writes_null(tmp_path):
+    js = tmp_path / "t.json"
+    rc = run_cli(
+        [
+            "twists", "--r", "1", "--s", "1", "--N", "49", "--w", "1",
+            "--T", "5", "--X", "9",
+            "--out-csv", str(tmp_path / "t.csv"), "--out-json", str(js),
+        ]
+    )
+    assert rc == 0
+
+    def reject(token):
+        raise AssertionError(f"non-JSON constant {token} in output")
+
+    summary = json.loads(js.read_text(), parse_constant=reject)
+    # no twist lands in the + class at this size, so its averages are undefined
+    assert summary["W_plus"] == 0.0 and summary["W_minus"] > 0
+    assert summary["avg_bound_plus"] is None
+    assert summary["proportion_rank0_lower"] is None
+    assert summary["avg_bound_minus"] is not None

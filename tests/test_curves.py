@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avgrank.arith import sieve_primes
 from avgrank.curves import (
@@ -83,6 +85,48 @@ def test_sigma_p_batch_matches_scalar():
         batch = sigma_p_batch(R, S, p)
         for i in range(len(R)):
             assert batch[i] == sigma_p(int(R[i]), int(S[i]), p)
+
+
+# primes on both sides of p mod 3 (p = 1 mod 3 has nontrivial cube roots of 1)
+ORACLE_PRIMES = sieve_primes(200).in_range(5, 200)
+
+
+@st.composite
+def coefficient_rows(draw):
+    """(p, R, S) with residues 0 mod p, small and twist-sized coefficients mixed in."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    coef = st.one_of(
+        st.integers(-50, 50),
+        st.integers(-(10**18), 10**18),
+        st.integers(-(10**12), 10**12).map(lambda m: m * p),
+    )
+    rows = draw(st.lists(st.tuples(coef, coef), min_size=1, max_size=40))
+    R, S = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    return p, R, S
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_rows())
+@example((7, np.array([0, 7, 0, 3, -14]), np.array([0, 0, 5, -21, 2])))
+@example((11, np.array([0, 22, 0, 3, -1]), np.array([0, 0, -11, 4, 10**15])))
+def test_sigma_p_batch_matches_scalar_oracles(case):
+    p, R, S = case
+    batch = sigma_p_batch(R, S, p)
+    for r, s, got in zip(R.tolist(), S.tolist(), batch.tolist()):
+        assert got == sigma_p(r, s, p) == sigma_p_charsum(r, s, p), (r, s, p)
+
+
+def test_sigma_p_batch_sparse_classes_and_chunks():
+    # p > N: most residues never occur, and 600 classes exceed one chunk of
+    # 4M / p = 399 rows of length p
+    p = 10007
+    rng = np.random.default_rng(11)
+    R = rng.integers(-(10**15), 10**15, size=600)
+    S = rng.integers(-(10**15), 10**15, size=600)
+    R[:20] = p * rng.integers(-100, 100, size=20)
+    S[10:30] = -p * rng.integers(0, 100, size=20)
+    batch = sigma_p_batch(R, S, p)
+    assert [int(a) for a in batch] == [sigma_p(int(r), int(s), p) for r, s in zip(R, S)]
 
 
 def test_sigma_p_large_coefficients_no_overflow():

@@ -13,6 +13,7 @@ from avgrank.families import (
     U2,
     _family_grid,
     average_rank_experiment,
+    box_grid,
     enumerate_C,
     enumerate_D,
     int_root,
@@ -60,6 +61,14 @@ def test_weight_wT_and_S_T():
     )
     assert abs(total - S_T(params)) < 1e-9
     assert S_T(params) > 0
+
+
+@pytest.mark.parametrize("T", [8.0, 64.0, 2.0e4])
+def test_box_grid_matches_enumeration(T):
+    # T = 2e4 reaches r = +-16 and s = +-64, +-128, where p = 2 decides minimality
+    for minimal, enum in ((True, enumerate_C), (False, enumerate_D)):
+        R, S = box_grid(T, minimal_only=minimal)
+        assert list(zip(R.tolist(), S.tolist())) == [(c.r, c.s) for c in enum(T)]
 
 
 def test_family_grid_respects_filters():

@@ -5,7 +5,7 @@ import pytest
 
 from avgrank.arith import sieve_primes
 from avgrank.curves import Curve, sigma_p
-from avgrank.families import U1, enumerate_C, enumerate_D
+from avgrank.families import U1, enumerate_C, enumerate_D, rank_bound
 from avgrank.moments import (
     TermType,
     V,
@@ -125,7 +125,7 @@ def test_reference_decay_and_optimal_k():
 
 def test_high_rank_census():
     rep = high_rank_census(200.0, 60.0, R_max=6)
-    assert rep.n_C == count_C(200.0)
+    assert rep.n_C == count_C(200.0) == sum(1 for _ in enumerate_C(200.0))
     assert rep.n_D == sum(1 for _ in enumerate_D(200.0))
     censuses = [row.census for row in rep.rows]
     assert censuses == sorted(censuses, reverse=True)
@@ -136,3 +136,18 @@ def test_high_rank_census():
             k = optimal_k(row.R)
             XR = 200.0 ** (1.0 / (6 * k))
             assert row.R >= 3 + 2 * math.log(200.0) / math.log(XR)
+
+
+def test_high_rank_census_matches_scalar_rank_bound():
+    T, X, C0 = 600.0, 50.0, 0.3
+    rep = high_rank_census(T, X, C0, R_max=8)
+    primes = sieve_primes(int(X))
+    bounds = [rank_bound(cur, X, C0, primes) for cur in enumerate_C(T)]
+    assert [row.census for row in rep.rows] == [sum(b >= R for b in bounds) for R in range(9)]
+
+
+def test_high_rank_census_rejects_degenerate_X_and_T():
+    with pytest.raises(ValueError, match="X > 1"):
+        high_rank_census(200.0, 1.0)
+    with pytest.raises(ValueError, match="T > e"):
+        high_rank_census(math.e, 10.0)
