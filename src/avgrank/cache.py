@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +56,11 @@ class ApCache:
     def __post_init__(self):
         if self.records.ndim != 2 or self.records.shape[1] != 4:
             raise ValueError("records must be an (n, 4) array")
-        # contiguous key columns, so a binary search never copies a column
-        object.__setattr__(self, "_keys", np.ascontiguousarray(self.records[:, :3].T))
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Contiguous (r, s, p) key columns, built on the first lookup."""
+        return np.ascontiguousarray(self.records[:, :3].T)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -419,7 +419,10 @@ def cmd_verify(args) -> int:
 def cmd_cache(args) -> int:
     if args.cache_cmd == "build":
         _require(args, "T", "X", "out")
-        c = cache_mod.cache_build(float(args.T), float(args.X))
+        try:
+            c = cache_mod.cache_build(float(args.T), float(args.X))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         cache_mod.cache_save(c, args.out)
         print(f"wrote {len(c)} records to {args.out}")
         return EXIT_OK

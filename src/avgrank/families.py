@@ -118,19 +118,33 @@ def box_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(R, S) arrays of the unweighted box family, row-major in (r, s).
 
-    The defaults give C(T); minimal_only=False gives D(T).  A model is
-    non-minimal when it is (0, 0) or some prime has p^4 | r and p^6 | s;
-    such a p satisfies p^4 <= |r| or p^6 <= |s|.
+    The defaults give C(T); minimal_only=False gives D(T).
     """
+    if T < 1:
+        raise ValueError("box_grid requires T >= 1")
     rmax, smax = int_root(T, 3), int_root(T, 2)
-    R = np.repeat(np.arange(-rmax, rmax + 1, dtype=np.int64), 2 * smax + 1)
-    S = np.tile(np.arange(-smax, smax + 1, dtype=np.int64), 2 * rmax + 1)
+    rv = np.arange(-rmax, rmax + 1, dtype=np.int64)
+    sv = np.arange(-smax, smax + 1, dtype=np.int64)
+    return _product_grid(rv, sv, minimal_only, exclude_singular)
+
+
+def _product_grid(
+    rv: np.ndarray, sv: np.ndarray, minimal_only: bool, exclude_singular: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """(R, S) arrays of the filtered product rv x sv, row-major.
+
+    A model is non-minimal when it is (0, 0) or some prime has p^4 | r and
+    p^6 | s; such a p satisfies p^4 <= |r| or p^6 <= |s|.
+    """
+    R = np.repeat(rv, len(sv))
+    S = np.tile(sv, len(rv))
     keep = np.ones(len(R), dtype=bool)
     if exclude_singular:
         keep &= 4 * R**3 + 27 * S**2 != 0
-    if minimal_only:
+    if minimal_only and len(R):
         keep &= (R != 0) | (S != 0)
-        for p in sieve_primes(max(int_root(rmax, 4), int_root(smax, 6))):
+        rtop, stop = int(np.abs(rv).max()), int(np.abs(sv).max())
+        for p in sieve_primes(max(int_root(rtop, 4), int_root(stop, 6))):
             keep &= (R % p**4 != 0) | (S % p**6 != 0)
     return R[keep], S[keep]
 
@@ -139,17 +153,17 @@ def _family_grid(params: FamilyParams):
     """(R, S, W, delta) arrays for the curves inside the weight support.
 
     Applies the singularity / minimality filters demanded by params; curves
-    with zero weight are dropped.
+    with zero weight are dropped before the grid is built.
     """
     T = params.T
     rmax, smax = int_root(T, 3), int_root(T, 2)
-    wr = np.asarray(params.weight_r(np.arange(-rmax, rmax + 1) * T ** (-1 / 3)), dtype=np.float64)
-    ws = np.asarray(params.weight_s(np.arange(-smax, smax + 1) * T ** (-1 / 2)), dtype=np.float64)
-    R, S = box_grid(T, params.minimal_only, params.exclude_singular)
-    wr, ws = wr[R + rmax], ws[S + smax]
-    inside = (wr > 0) & (ws > 0)
-    R, S = R[inside], S[inside]
-    return R, S, wr[inside] * ws[inside], discriminant(R, S)
+    rv = np.arange(-rmax, rmax + 1, dtype=np.int64)
+    sv = np.arange(-smax, smax + 1, dtype=np.int64)
+    wr = np.asarray(params.weight_r(rv * T ** (-1 / 3)), dtype=np.float64)
+    ws = np.asarray(params.weight_s(sv * T ** (-1 / 2)), dtype=np.float64)
+    rv, sv = rv[wr > 0], sv[ws > 0]
+    R, S = _product_grid(rv, sv, params.minimal_only, params.exclude_singular)
+    return R, S, wr[R + rmax] * ws[S + smax], discriminant(R, S)
 
 
 def S_T(params: FamilyParams) -> float:

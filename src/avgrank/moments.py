@@ -82,23 +82,19 @@ def count_C(T: float) -> int:
 
 
 def density_bound(
-    T: float,
-    X: float,
-    k: int,
-    R: float,
-    primes: PrimeTable | None = None,
-    n_C: int | None = None,
+    T: float, X: float, k: int, R: float, primes: PrimeTable | None = None
 ) -> float:
     """Markov bound moment_2k / ((log T / 2)^(2k) * #C(T)) for rank >= R.
 
     Only meaningful when R >= 3 + 2 log T / log X, the regime where the
-    explicit formula forces |V| >= (log T) / 2.  n_C, when given, is #C(T).
+    explicit formula forces |V| >= (log T) / 2.
     """
     if R < 3 + 2 * math.log(T) / math.log(X):
         raise ValueError("density_bound requires R >= 3 + 2 log T / log X")
-    m = moment_2k(T, X, k, primes)
-    if n_C is None:
-        n_C = count_C(T)
+    return _markov(moment_2k(T, X, k, primes), T, k, count_C(T))
+
+
+def _markov(m: float, T: float, k: int, n_C: int) -> float:
     return m / ((0.5 * math.log(T)) ** (2 * k) * n_C)
 
 
@@ -192,7 +188,7 @@ def high_rank_census(
         markov = None
         if XR >= 2 and R >= 3 + 2 * math.log(T) / math.log(XR):
             mp = sieve_primes(int(XR)) if XR > primes.limit else primes
-            markov = density_bound(T, XR, k, R, mp, n_C)
+            markov = _markov(moment_2k(T, XR, k, mp), T, k, n_C)
         rows.append(CensusRow(R=R, census=census, markov_bound=markov, reference=reference_decay(R)))
     cutoff = 11 * math.log(T) / math.log(math.log(T))
     return MomentReport(T=T, X=X, C0=C0, rows=tuple(rows), rank_cutoff=cutoff, n_C=n_C, n_D=n_D)

@@ -350,6 +350,14 @@ def test_cli_cache_check_missing_file_exits_2(tmp_path, capsys):
     assert "missing.apcache" in _one_error_line(capsys)
 
 
+def test_cli_cache_build_T_below_1_exits_2(tmp_path, capsys):
+    out = tmp_path / "c.apcache"
+    rc = run_cli(["cache", "build", "--T", "0.5", "--X", "30", "--out", str(out)])
+    assert rc == 2
+    assert "T >= 1" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_cli_twists_empty_class_writes_null(tmp_path):
     js = tmp_path / "t.json"
     rc = run_cli(

@@ -71,6 +71,22 @@ def test_box_grid_matches_enumeration(T):
         assert list(zip(R.tolist(), S.tolist())) == [(c.r, c.s) for c in enum(T)]
 
 
+def test_box_grid_requires_T_at_least_1():
+    with pytest.raises(ValueError, match="T >= 1"):
+        box_grid(0.5)
+
+
+def test_family_grid_is_box_grid_on_weight_support():
+    # the support of even_bump is |x| >= 1/2; T = 2e4 keeps (+-16, +-128),
+    # which p = 2 makes non-minimal, inside it
+    params = FamilyParams(T=2.0e4)
+    R, S, W, _ = _family_grid(params)
+    expect = [(c, weight_wT(c, params)) for c in enumerate_C(params.T)]
+    expect = [(c, w) for c, w in expect if w > 0]
+    assert list(zip(R.tolist(), S.tolist())) == [(c.r, c.s) for c, _ in expect]
+    assert np.allclose(W, [w for _, w in expect], rtol=1e-14, atol=0)
+
+
 def test_family_grid_respects_filters():
     params = FamilyParams(T=5000.0)
     R, S, W, delta = _family_grid(params)
