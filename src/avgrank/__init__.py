@@ -43,6 +43,7 @@ from .families import (
     box_grid,
     enumerate_C,
     enumerate_D,
+    prime_terms,
     rank_bound,
     rank_bound_terms,
     weight_wT,

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .arith import PrimeTable, sieve_primes
-from .curves import ap, sigma_p_batch
-from .families import box_grid, enumerate_C
+from .curves import discriminant, sigma_p_batch
+from .families import box_grid, fsum_rows, prime_terms
 from .weights import h_X
 
 __all__ = [
@@ -146,19 +146,19 @@ def cache_load(path: str | Path) -> ApCache:
 def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     """U1 for every curve of C(T), optionally served from a cache.
 
-    With a cache covering the box, the per-curve trace computations are
-    replaced by binary-search lookups; any missing key falls back to
-    direct evaluation.
+    The terms come from families.prime_terms over box_grid(T), one fsum per
+    curve, so each value equals the scalar U1 exactly.  With a cache, every
+    (curve, prime) key is looked up and a hit replaces the engine's trace;
+    a missing key keeps the engine's value.
     """
     primes = sieve_primes(int(X))
-    ps = list(primes.in_range(5, X))
-    out = []
-    for cur in enumerate_C(T):
-        terms = []
-        for p in ps:
-            a = cache.lookup(cur.r, cur.s, p) if cache is not None else None
-            if a is None:
-                a = ap(cur, p).ap
-            terms.append(-(math.log(p) / p) * h_X(math.log(p), X) * a)
-        out.append(math.fsum(terms))
-    return out
+    R, S = box_grid(T)
+    keys = list(zip(R.tolist(), S.tolist()))
+    cols = []
+    for p, t1, _ in prime_terms(R, S, discriminant(R, S), X, primes):
+        if cache is not None:
+            coef = -(math.log(p) / p) * h_X(math.log(p), X)
+            hits = [cache.lookup(r, s, p) for r, s in keys]
+            t1 = np.array([t if a is None else coef * a for t, a in zip(t1.tolist(), hits)])
+        cols.append(t1)
+    return fsum_rows(cols, len(R))

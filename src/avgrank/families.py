@@ -12,6 +12,8 @@ report carries a caveat line saying so.
 
 Families are streamed or held as flat arrays; all aggregation uses
 math.fsum in a fixed order so repeated runs are bit-identical.
+prime_terms is the one route from a family's arrays to per-prime U1 / U2
+terms; the scalar U1, U2 and rank_bound remain as oracles.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ __all__ = [
     "U1",
     "U2",
     "rank_bound",
+    "prime_terms",
     "rank_bound_terms",
+    "fsum_rows",
     "average_rank_experiment",
     "lemma2_lhs",
 ]
@@ -150,7 +154,7 @@ def _product_grid(
 
 
 def _family_grid(params: FamilyParams):
-    """(R, S, W, delta) arrays for the curves inside the weight support.
+    """(R, S, W) arrays for the curves inside the weight support.
 
     Applies the singularity / minimality filters demanded by params; curves
     with zero weight are dropped before the grid is built.
@@ -163,12 +167,12 @@ def _family_grid(params: FamilyParams):
     ws = np.asarray(params.weight_s(sv * T ** (-1 / 2)), dtype=np.float64)
     rv, sv = rv[wr > 0], sv[ws > 0]
     R, S = _product_grid(rv, sv, params.minimal_only, params.exclude_singular)
-    return R, S, wr[R + rmax] * ws[S + smax], discriminant(R, S)
+    return R, S, wr[R + rmax] * ws[S + smax]
 
 
 def S_T(params: FamilyParams) -> float:
     """Weighted count sum_{E in C} w_T(E)."""
-    _, _, W, _ = _family_grid(params)
+    _, _, W = _family_grid(params)
     return math.fsum(W.tolist())
 
 
@@ -211,6 +215,31 @@ def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: PrimeTable | Non
     )
 
 
+def prime_terms(
+    R: np.ndarray, S: np.ndarray, delta: np.ndarray, X: float, primes: PrimeTable
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """Per-prime explicit-formula terms of a family, in increasing p.
+
+    Yields (p, t1, t2) for each prime 5 <= p <= X: t1 = -(log p / p)
+    h_X(log p) a_p is the U1 term and t2 = c_{p^2} (2 log p) h_X(2 log p)
+    the U2 term, None once p^2 > X.  delta is the discriminant of each
+    (minimal) model and decides the bad primes of c_{p^2}.  R, S and delta
+    may be int64 or Python-int (dtype=object) arrays; R and S are reduced
+    mod p before the batch engine.  Each element equals the term that
+    U1 / U2 sum for that curve, bit for bit.
+    """
+    for p in primes.in_range(5, X):
+        sig = sigma_p_batch(R % p, S % p, p)
+        lp = math.log(p)
+        t1 = -(lp / p) * h_X(lp, X) * sig
+        t2 = None
+        if p * p <= X:
+            bad = delta % p == 0
+            c = np.where(bad, -(sig * sig) / (2.0 * p * p), -(sig * sig - 2.0 * p) / (2.0 * p * p))
+            t2 = c * 2.0 * lp * h_X(2.0 * lp, X)
+        yield p, t1, t2
+
+
 def rank_bound_terms(
     R: np.ndarray, S: np.ndarray, X: float, primes: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,15 +250,16 @@ def rank_bound_terms(
     delta = discriminant(R, S)
     u1 = np.zeros(len(R))
     u2 = np.zeros(len(R))
-    for p in primes.in_range(5, X):
-        sig = sigma_p_batch(R, S, p)
-        lp = math.log(p)
-        u1 -= (lp / p) * h_X(lp, X) * sig
-        if p * p <= X:
-            bad = delta % p == 0
-            c = np.where(bad, -(sig * sig) / (2.0 * p * p), -(sig * sig - 2.0 * p) / (2.0 * p * p))
-            u2 += c * 2.0 * lp * h_X(2.0 * lp, X)
+    for _, t1, t2 in prime_terms(R, S, delta, X, primes):
+        u1 += t1
+        if t2 is not None:
+            u2 += t2
     return _conductor_batch(R, delta), u1, u2
+
+
+def fsum_rows(cols: list[np.ndarray], n: int) -> list[float]:
+    """math.fsum across the columns for each of n rows (0.0 with no columns)."""
+    return [math.fsum(row) for row in np.reshape(cols, (len(cols), n)).T.tolist()]
 
 
 def _conductor_batch(R: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -316,7 +346,7 @@ def average_rank_experiment(
         raise ValueError("average_rank_experiment requires 1 < X <= T^(5/6)")
     if primes is None:
         primes = sieve_primes(int(X))
-    R, S, W, _ = _family_grid(params)
+    R, S, W = _family_grid(params)
     if len(R) == 0:
         raise ValueError("empty family: weight support contains no lattice points")
     logX = math.log(X)
@@ -356,7 +386,7 @@ def lemma2_lhs(params: FamilyParams, P: float, primes: PrimeTable) -> float:
     """
     if P < 5:
         raise ValueError("lemma2_lhs requires P >= 5")
-    R, S, W, _ = _family_grid(params)
+    R, S, W = _family_grid(params)
     total = []
     for p in primes.in_range(P + 1, 2 * P):
         sig = sigma_p_batch(R, S, p)

@@ -3,9 +3,13 @@
 Root numbers propagate from the base curve by w_D = w * sign(D) * chi_D(N);
 the twist set splits by (k, delta, e): sign of D, 2-adic valuation, and the
 residue mod 8 of the odd squarefree part.  The average-rank experiment
-walks the fundamental discriminants selected by a smooth weight, reduces
-each twisted curve to its minimal model, and evaluates the same
-explicit-formula terms as the box-family experiment.
+walks the fundamental discriminants selected by a smooth weight and
+reduces each twisted curve to its minimal model.  The prime sums of all
+minimal twists then come from families.prime_terms, the batch route of
+the box family, on Python-int arrays; each curve's U1 and U2 are the
+math.fsum of its row of terms, exactly as the scalar U1 / U2 sum them.
+The traces are those of the minimal models, not chi_D(p) a_p(E): the two
+differ when p | D and star_map divides p out of the twist.
 
 poisson_twist_check verifies the Poisson / Gauss-sum dual-sum identity
 used to average character sums over twists, by computing both sides
@@ -32,8 +36,7 @@ from .arith import (
     squarefree_kernel,
 )
 from .curves import Curve, conductor_surrogate, sigma_p, star_map
-from .families import U1 as family_U1
-from .families import U2 as family_U2
+from .families import fsum_rows, prime_terms
 from .weights import SmoothWeight, fourier_numeric
 
 __all__ = [
@@ -220,19 +223,17 @@ def twist_average_experiment(
     """Explicit-formula averages over the selected twist class.
 
     Each twist is reduced to its minimal model before the prime sums are
-    evaluated; the conductor surrogate is fed the known prime divisors of
-    D and of the base discriminant, and the crude N*D^2 bound is reported
-    alongside as a diagnostic.
+    evaluated, all twists at once per prime; the conductor surrogate is
+    fed the known prime divisors of D and of the base discriminant, and
+    the crude N*D^2 bound is reported alongside as a diagnostic.
     """
     if not 1 < X <= T * T:
         raise ValueError("twist_average_experiment requires 1 < X <= T^2")
     if primes is None:
         primes = sieve_primes(int(X))
     logX = math.log(X)
-    rows_D, rows_w = [], []
-    logn_t, u1s, u2s, bounds, nd2_t = [], [], [], [], []
+    rows_D, rows_w, minimals, logns = [], [], [], []
     class_map: dict[tuple[int, int, int], set[int]] = {}
-    devs = []
     base_primes = (
         tuple(factorize(abs(family.base.delta))) if family.base.delta else ()
     )
@@ -240,19 +241,12 @@ def twist_average_experiment(
         twisted = twist_curve(family.base, D)
         minimal, _ = star_map(twisted.r, twisted.s)
         hints = base_primes + tuple(factorize(abs(D)))
-        u1 = family_U1(minimal, X, primes)
-        u2 = family_U2(minimal, X, primes)
-        logn = math.log(conductor_surrogate(minimal, prime_hints=hints))
+        logns.append(math.log(conductor_surrogate(minimal, prime_hints=hints)))
         k, delta, e, _ = class_decompose(D)
         class_map.setdefault((k, delta, e), set()).add(family.sign)
         rows_D.append(D)
         rows_w.append(wv)
-        logn_t.append(logn / logX)
-        u1s.append(u1)
-        u2s.append(u2)
-        bounds.append(logn / logX + (2.0 / logX) * (u1 + u2) + C0 / logX)
-        nd2_t.append(math.log(family.N * D * D) / logX)
-        devs.append(abs(u2 - logX / 4.0) / math.log(math.log(max(abs(D), 16))))
+        minimals.append(minimal)
     if not rows_D:
         return TwistReport(
             T=T, X=X, C0=C0, sign=family.sign, empty=True,
@@ -263,10 +257,21 @@ def twist_average_experiment(
             avg_U2_term=math.nan, avg_bound=math.nan,
             u1_over_logX=math.nan, u2_over_logX=math.nan, u2_deviation=math.nan,
         )
+    # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
+    R = np.array([c.r for c in minimals], dtype=object)
+    S = np.array([c.s for c in minimals], dtype=object)
+    disc = np.array([c.delta for c in minimals], dtype=object)
+    terms = list(prime_terms(R, S, disc, X, primes))
+    u1a = np.asarray(fsum_rows([t1 for _, t1, _ in terms], len(R)))
+    u2a = np.asarray(fsum_rows([t2 for _, _, t2 in terms if t2 is not None], len(R)))
+    lt = np.asarray(logns) / logX
+    bound = lt + (2.0 / logX) * (u1a + u2a) + C0 / logX
+    devs = [
+        abs(u2 - logX / 4.0) / math.log(math.log(max(abs(D), 16)))
+        for D, u2 in zip(rows_D, u2a.tolist())
+    ]
+    nd2_t = [math.log(family.N * D * D) / logX for D in rows_D]
     w = np.asarray(rows_w)
-    u1a, u2a = np.asarray(u1s), np.asarray(u2s)
-    bound = np.asarray(bounds)
-    lt = np.asarray(logn_t)
     wsum = math.fsum(rows_w)
 
     def wavg(x):

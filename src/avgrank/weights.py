@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "SmoothWeight",
@@ -159,6 +158,9 @@ def plateau_bump(
 
 def fourier_numeric(weight: SmoothWeight, t: float, epsabs: float = 1e-10) -> complex:
     """f_hat(t) by adaptive quadrature over the compact support."""
+    # imported here: scipy.integrate is most of the package's import time
+    from scipy.integrate import quad
+
     lo, hi = weight.support
 
     def f(x):

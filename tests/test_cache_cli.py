@@ -17,7 +17,8 @@ from avgrank.cache import (
 )
 from avgrank.cli import load_curve_data, main
 from avgrank.curves import Curve, ap
-from avgrank.families import enumerate_C
+from avgrank.arith import sieve_primes
+from avgrank.families import U1, enumerate_C
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +113,25 @@ def test_u1_sweep_cache_equivalence_and_speed(tmp_path):
     assert direct == cached
     # timing is advisory here (tiny scale); just make sure both ran
     assert t_direct > 0 and t_cached > 0
+    # the batch route equals the scalar oracle bit for bit
+    primes = sieve_primes(int(X))
+    assert direct == [U1(c, X, primes) for c in enumerate_C(T)]
+
+
+def test_u1_sweep_cache_hits_and_misses():
+    T, X = 300.0, 40.0
+    direct = u1_sweep(T, X)
+    rec = cache_build(T, X).records.copy()
+    # a miss takes the engine's value
+    assert u1_sweep(T, X, cache=ApCache(records=rec[::2])) == direct
+    # a hit is read from the cache: flip the sign of one nonzero a_p
+    i = int(np.flatnonzero(rec[:, 3])[0])
+    r, s, p, a = rec[i].tolist()
+    rec[i, 3] = -a
+    swept = u1_sweep(T, X, cache=ApCache(records=rec))
+    j = [(c.r, c.s) for c in enumerate_C(T)].index((r, s))
+    assert swept[:j] + swept[j + 1 :] == direct[:j] + direct[j + 1 :]
+    assert swept[j] != direct[j]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avgrank.arith import sieve_primes
-from avgrank.curves import Curve, ap, c_pk, conductor_surrogate, is_minimal, sigma_p
+from avgrank.curves import Curve, ap, c_pk, conductor_surrogate, discriminant, is_minimal, sigma_p
 from avgrank.families import (
     CAVEAT,
     FamilyParams,
@@ -18,6 +18,7 @@ from avgrank.families import (
     enumerate_D,
     int_root,
     lemma2_lhs,
+    prime_terms,
     rank_bound,
     weight_wT,
 )
@@ -80,7 +81,7 @@ def test_family_grid_is_box_grid_on_weight_support():
     # the support of even_bump is |x| >= 1/2; T = 2e4 keeps (+-16, +-128),
     # which p = 2 makes non-minimal, inside it
     params = FamilyParams(T=2.0e4)
-    R, S, W, _ = _family_grid(params)
+    R, S, W = _family_grid(params)
     expect = [(c, weight_wT(c, params)) for c in enumerate_C(params.T)]
     expect = [(c, w) for c, w in expect if w > 0]
     assert list(zip(R.tolist(), S.tolist())) == [(c.r, c.s) for c, _ in expect]
@@ -89,12 +90,11 @@ def test_family_grid_is_box_grid_on_weight_support():
 
 def test_family_grid_respects_filters():
     params = FamilyParams(T=5000.0)
-    R, S, W, delta = _family_grid(params)
-    assert (delta != 0).all()
+    R, S, W = _family_grid(params)
+    assert (4 * R**3 + 27 * S**2 != 0).all()
     assert (W > 0).all()
     for i in range(len(R)):
         assert is_minimal(int(R[i]), int(S[i]))
-        assert delta[i] == -16 * (4 * int(R[i]) ** 3 + 27 * int(S[i]) ** 2)
     # against the streaming enumeration with the same weight threshold
     direct = {
         (c.r, c.s)
@@ -102,6 +102,25 @@ def test_family_grid_respects_filters():
         if weight_wT(c, params) > 0
     }
     assert direct == set(zip(R.tolist(), S.tolist()))
+
+
+def test_prime_terms_int64_and_object_arrays_agree():
+    R, S = box_grid(2.0e4)
+    X = 200.0
+    primes = sieve_primes(200)
+    fast = list(prime_terms(R, S, discriminant(R, S), X, primes))
+    # shifting by the primorial keeps every residue mod p <= X and takes the
+    # coefficients far beyond int64; delta stays that of the unshifted grid
+    M = math.prod(primes.in_range(2, X))
+    Ro, So = R.astype(object) + M, S.astype(object) - M
+    slow = list(prime_terms(Ro, So, discriminant(R.astype(object), S.astype(object)), X, primes))
+    assert [p for p, _, _ in fast] == primes.in_range(5, X)
+    assert [p for p, _, _ in slow] == primes.in_range(5, X)
+    for (_, a1, a2), (_, b1, b2) in zip(fast, slow):
+        assert np.array_equal(a1, b1)
+        assert (a2 is None) == (b2 is None)
+        assert a2 is None or np.array_equal(a2, b2)
+    assert sum(t2 is not None for _, _, t2 in fast) == len(primes.in_range(5, math.sqrt(X)))
 
 
 def test_U1_two_term_hand_value():
@@ -176,7 +195,7 @@ def test_lemma2_lhs_small():
     val = lemma2_lhs(params, 10.0, primes)
     assert val >= 0
     # direct recomputation
-    R, S, W, _ = _family_grid(params)
+    R, S, W = _family_grid(params)
     total = 0.0
     for p in [11, 13, 17, 19]:
         inner = math.fsum(

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from avgrank.arith import is_fundamental_discriminant, kronecker, sieve_primes
-from avgrank.curves import Curve, discriminant, sigma_p
+from avgrank.arith import factorize, is_fundamental_discriminant, kronecker, sieve_primes
+from avgrank.curves import Curve, conductor_surrogate, discriminant, sigma_p, star_map
+from avgrank.families import U1, U2
 from avgrank.twists import (
     IdentityViolatedError,
     TwistFamily,
@@ -133,6 +134,46 @@ def test_twist_average_experiment_empty():
     rep = twist_average_experiment(fam, 20.0, 10.0)
     assert rep.empty
     assert math.isnan(rep.avg_bound)
+
+
+@pytest.mark.parametrize("r, s, N", [(25, 125, 1), (1, 1, 49), (-2, 3, 389)])
+def test_twist_average_matches_scalar_oracles(r, s, N):
+    # the batch route over minimal twists against the scalar U1 / U2 and
+    # conductor surrogate; (25, 125) has star_map d = 5 whenever 5 | D, and
+    # |Delta| of most twists at T = 2000 exceeds 2^63
+    base, T, X = Curve(r, s), 2000.0, 200.0
+    primes = sieve_primes(int(X))
+    logX = math.log(X)
+    seen_d, seen_big, rows = set(), False, {1: 0, -1: 0}
+    for sign in (1, -1):
+        for weight in (bump(0.5, 1.0), bump(-1.0, -0.5)):
+            fam = TwistFamily(base=base, N=N, w=1, sign=sign, weight=weight)
+            rep = twist_average_experiment(fam, T, X, primes=primes)
+            rows[sign] += len(rep.D)
+            for i, D in enumerate(rep.D.tolist()):
+                tw = twist_curve(base, D)
+                minimal, d = star_map(tw.r, tw.s)
+                seen_d.add(d)
+                seen_big |= abs(minimal.delta) > 2**63
+                assert rep.U1_raw[i] == U1(minimal, X, primes)
+                assert rep.U2_raw[i] == U2(minimal, X, primes)
+                hints = tuple(factorize(abs(base.delta))) + tuple(factorize(abs(D)))
+                n = conductor_surrogate(minimal, prime_hints=hints)
+                assert rep.logN_term[i] == math.log(n) / logX
+    # an odd-square or unit N leaves one sign class per weight, and it can be empty
+    assert rows[1] > 0 and rows[-1] > 0
+    assert seen_big
+    if (r, s) == (25, 125):
+        assert 5 in seen_d
+
+
+def test_twist_minimal_trace_is_not_the_character_shortcut():
+    # twist of (25, 125) by D = 5 is (5^4, 5^6) times (1, 1): star_map divides
+    # out d = 5, and a_5 of the minimal model is -3, where chi_5(5) a_5(E) = 0
+    tw = twist_curve(Curve(25, 125), 5)
+    minimal, d = star_map(tw.r, tw.s)
+    assert (minimal.r, minimal.s, d) == (1, 1, 5)
+    assert sigma_p(1, 1, 5) == -3 and kronecker(5, 5) == 0
 
 
 def test_twist_average_rejects_large_X():

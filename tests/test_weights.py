@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,3 +140,15 @@ def test_kernel_k_hat_series_branch_continuity():
         # k_hat(0) = integral of k = (2 - 1/X) / log^2 X
         want = (2.0 - 1.0 / X) / math.log(X) ** 2
         assert abs(kernel_k_hat(0.0, X) - want) < 1e-14
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # fourier_numeric imports quad on first use, so CLI start-up skips it
+    import avgrank
+
+    env = dict(os.environ, PYTHONPATH=str(Path(avgrank.__file__).parents[1]))
+    code = "import sys, avgrank.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
