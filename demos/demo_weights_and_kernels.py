@@ -3,8 +3,10 @@
 The explicit-formula machinery rests on two transforms with closed forms:
 the triangular weight (whose transform is the nonnegative Fejer kernel) and
 the plateau kernel k (whose transform k-hat is plateau-exact on |t| <= 1-1/X).
-We verify both against adaptive quadrature, then evaluate the Poisson
-summation identity that underlies the twist character sums.
+We check both against fourier_numeric, an adaptive composite Gauss-Legendre
+rule certified to 1e-10 by comparing each panel with its two halves, then
+evaluate the Poisson summation identity that underlies the twist character
+sums.
 """
 
 import math

@@ -37,7 +37,7 @@ from .arith import (
 )
 from .curves import Curve, conductor_surrogate, sigma_p, star_map
 from .families import fsum_rows, prime_terms
-from .weights import SmoothWeight, fourier_numeric
+from .weights import QuadratureError, SmoothWeight, fourier_numeric
 
 __all__ = [
     "TwistFamily",
@@ -336,22 +336,18 @@ def poisson_twist_check(
     if lo < 0:
         raise ValueError("poisson_twist_check expects a positively supported weight")
 
-    def psi_p(n: int) -> int:
-        return _psi(b, n) * legendre(n, p)
+    # psi_p is periodic mod q: one table serves both sides and G
+    chi = np.array([_psi(b, j) * legendre(j, p) for j in range(q)], dtype=np.float64)
+    n = np.arange(int(math.ceil(lo * T)), int(math.floor(hi * T)) + 1)
+    direct = math.fsum(W(n / T) * chi[n % q])
 
-    direct = math.fsum(
-        float(W(n / T)) * psi_p(n)
-        for n in range(int(math.ceil(lo * T)), int(math.floor(hi * T)) + 1)
-    )
-
-    G = complex(
-        sum(psi_p(j) * complex(math.cos(2 * math.pi * j / q), math.sin(2 * math.pi * j / q))
-            for j in range(q))
-    )
+    G = complex(np.sum(chi * np.exp(2j * np.pi * np.arange(q) / q)))
     # The smooth W makes W_hat decay faster than any power, so the dual
     # sum truncates once a few consecutive terms drop below a floor that
-    # keeps the neglected tail well under tol.  W is real, so
-    # W_hat(-t) = conj(W_hat(t)) and only positive frequencies need
+    # keeps the neglected tail well under tol.  Each term is certified to
+    # that floor, so the truncation test is judged on accurate values; a
+    # floor beyond the reach of the quadrature fails at once.  W is real,
+    # so W_hat(-t) = conj(W_hat(t)) and only positive frequencies need
     # quadrature.
     floor = tol * math.sqrt(q) / T * 1e-2
     dual = 0j
@@ -362,15 +358,21 @@ def poisson_twist_check(
             raise IdentityViolatedError(
                 f"dual sum failed to converge by m={m} (b={b}, p={p}, T={T})"
             )
-        wh = fourier_numeric(W, T * m / q, epsabs=1e-9)
-        dual += wh * psi_p(m) + wh.conjugate() * psi_p(-m % q)
+        try:
+            wh = fourier_numeric(W, T * m / q, epsabs=floor)
+        except QuadratureError as exc:
+            raise IdentityViolatedError(
+                f"dual-sum term m={m} cannot be certified to {floor:.3e} "
+                f"(b={b}, p={p}, T={T}): {exc}"
+            ) from exc
+        dual += wh * chi[m % q] + wh.conjugate() * chi[-m % q]
         if abs(wh) < floor:
             misses += 1
         else:
             misses = 0
         m += 1
     dual *= T * G / q
-    residual = abs(direct - dual)
+    residual = float(abs(direct - dual))
     if residual >= tol:
         raise IdentityViolatedError(
             f"Poisson dual-sum identity violated (b={b}, p={p}, T={T}): residual {residual:.3e}"

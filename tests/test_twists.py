@@ -210,7 +210,12 @@ def test_poisson_twist_check_small():
     assert res < 1e-6
     res = poisson_twist_check(w, 8, 5, 100.0)
     assert res < 1e-6
-    with pytest.raises(IdentityViolatedError):
+    # (./7) is odd, so the conjugate dual terms read psi_p at -m, not m
+    res = poisson_twist_check(w, 1, 7, 100.0)
+    assert res < 1e-6
+    # the first dual term cannot be certified to the floor: fail at once,
+    # not after 5000 terms
+    with pytest.raises(IdentityViolatedError, match="cannot be certified"):
         poisson_twist_check(w, 1, 5, 100.0, tol=1e-30)
     with pytest.raises(ValueError):
         poisson_twist_check(w, 8, 2, 100.0)
