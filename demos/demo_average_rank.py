@@ -12,6 +12,8 @@ the pieces are balanced, not to produce a publishable constant.
 
 import math
 
+import numpy as np
+
 from avgrank import FamilyParams, average_rank_experiment
 
 T = 5000.0
@@ -32,8 +34,11 @@ print()
 print(f"weighted average rank bound   = {report.avg_bound:.4f}")
 
 # the five largest individual bounds, for a feel of the spread
-rows = sorted(report.iter_records(), key=lambda rec: -rec[-1])[:5]
+top = np.argsort(-report.bound, kind="stable")[:5]
 print("\nlargest individual bounds:")
 print("      r      s    logN/logX     U1-term     U2-term     bound")
-for r, s, logn, u1, u2, bound in rows:
-    print(f"  {r:5d}  {s:5d}   {logn:9.4f}  {u1:9.4f}  {u2:9.4f}  {bound:9.4f}")
+for i in top:
+    print(
+        f"  {report.r[i]:5d}  {report.s[i]:5d}   {report.logN_term[i]:9.4f}  "
+        f"{report.U1_term[i]:9.4f}  {report.U2_term[i]:9.4f}  {report.bound[i]:9.4f}"
+    )

@@ -34,6 +34,7 @@ from .curves import (
 )
 from .families import (
     CAVEAT,
+    BoxGrid,
     FamilyParams,
     RankBoundReport,
     S_T,

@@ -31,6 +31,7 @@ EXIT_VERIFY_FAILED = 4
 AVERAGE_RANK_HEADER = "r,s,logN_term,U1_term,U2_term,bound"
 DENSITY_HEADER = "R,census,markov_bound,reference_decay"
 TWISTS_HEADER = "D,sign,weight,logN_term,U1_term,U2_term,bound"
+CSV_BLOCK = 1024
 
 
 class ConfigError(ValueError):
@@ -107,6 +108,27 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             setattr(args, attr, val)
 
 
+def _check_values(args: argparse.Namespace) -> None:
+    """T, X and C0 must be finite numbers and R-max a nonnegative integer.
+
+    Runs after the config file is applied, so it sees both sources; json
+    reads NaN and Infinity as floats.
+    """
+    for name in ("T", "X", "C0"):
+        val = getattr(args, name, None)
+        if val is None:
+            continue
+        try:
+            ok = math.isfinite(float(val))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"--{name} must be a finite number, got {val!r}")
+    val = getattr(args, "R_max", None)
+    if val is not None and not (isinstance(val, int) and not isinstance(val, bool) and val >= 0):
+        raise ConfigError(f"--R-max must be a nonnegative integer, got {val!r}")
+
+
 def _require(args: argparse.Namespace, *names: str) -> None:
     for n in names:
         if getattr(args, n) is None:
@@ -128,10 +150,15 @@ def cmd_average_rank(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_EMPTY_FAMILY
         raise ConfigError(str(exc)) from exc
+    cols = (report.r, report.s, report.logN_term, report.U1_term, report.U2_term, report.bound)
     with open(args.out_csv, "w", newline="\n") as fh:
         fh.write(AVERAGE_RANK_HEADER + "\n")
-        for r, s, lt, u1, u2, b in report.iter_records():
-            fh.write(f"{r},{s},{_fmt(lt)},{_fmt(u1)},{_fmt(u2)},{_fmt(b)}\n")
+        # blocks of tolist() rows: one Python object per value, never the whole file
+        for i in range(0, len(report.r), CSV_BLOCK):
+            fh.writelines(
+                f"{r},{s},{lt!r},{u1!r},{u2!r},{b!r}\n"
+                for r, s, lt, u1, u2, b in zip(*(c[i : i + CSV_BLOCK].tolist() for c in cols))
+            )
     n = len(report.r)
     _write_json(
         Path(args.out_json),
@@ -508,6 +535,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
+        _check_values(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ Legendre-symbol sum (sigma_p) and the complex double exponential sum
 divided by the Gauss sum (sigma_p_charsum).  Both are valid for p >= 5
 even at primes of singular reduction.  They serve as oracles.
 
-Batch evaluation (sigma_p_batch) rests on the twist-class identity
+Batch evaluation rests on the twist-class identity
 
     sigma_p(r, s) = chi(r s) * sigma_p(k, k),   k = r^3 s^-2 mod p,
 
@@ -17,8 +17,28 @@ Taking d = r / s makes both coefficients r^3 / s^2 = k, and
 chi(r / s) = chi(r s).  This is the quadratic-twist and isomorphism-class
 argument for short Weierstrass models (H. Cohen, A Course in
 Computational Algebraic Number Theory, Springer GTM 138, chapter 7).
-A family therefore needs the character sum only at the classes k that
-occur, plus the residues of rows with r = 0 or s = 0 (mod p).
+
+Every trace a prime can produce therefore lies in three tables of length
+p: a_p(k, k), a_p(0, s) and a_p(r, 0).  Each is one cyclic correlation
+with chi (character-sum point counting, Cohen ch. 7):
+
+    a_p(k, k) = -(chi(-1) + sum_v H(v) chi(v + k)),
+        H(v) = sum_{u != 0, g(u) = v} chi(u),  g(u) = (u - 1)^3 / u,
+
+from x = u - 1 and (u - 1)^3 + k u = u (g(u) + k), the u = 0 term
+giving chi(-1);
+
+    a_p(0, s) = -sum_c N3(c) chi(c + s),   N3(c) = #{x : x^3 = c},
+    a_p(r, 0) = -sum_c Q(c) chi(c + r),    Q(c) = sum_{x^2 = c} chi(x),
+
+from x^3 + r x = x (x^2 + r).  _class_tables computes the three
+correlations with numpy.fft in O(p log p), rounds them, and raises
+NumericalDriftError if any value was 0.25 or more from its integer
+(certificate: the exact values are integers bounded by 2 sqrt(p) + 1,
+so float64 leaves a wide margin).  sigma_p_batch gathers flat arrays of
+curves from the tables; _trace_rectangle gathers a whole product grid
+rv x sv, with the class the outer product (r^3) x (s^-2) mod p and the
+sign chi(r) x chi(s).
 """
 
 from __future__ import annotations
@@ -48,7 +68,7 @@ __all__ = [
 
 
 class NumericalDriftError(RuntimeError):
-    """Complex character-sum evaluation drifted away from an integer."""
+    """A floating-point character sum or correlation drifted away from an integer."""
 
 
 def discriminant(r: int, s: int) -> int:
@@ -149,44 +169,95 @@ def _powmod(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def sigma_p_batch(r: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
-    """sigma_p for many curves at once, by twist classes.
+def _certified_round(vals: np.ndarray, what: str) -> np.ndarray:
+    """Round float correlations to integers; a residual of 0.25 or more raises."""
+    n = np.rint(vals)
+    worst = float(np.abs(vals - n).max(initial=0.0))
+    if worst >= 0.25:
+        raise NumericalDriftError(f"{what}: correlation residual {worst:.3g} >= 0.25")
+    return n
 
-    A row with r s != 0 (mod p) gets chi(r s) * sigma_p(k, k) with
-    k = r^3 s^-2 mod p (see the module docstring for the identity); a row
-    with r = 0 or s = 0 (mod p) gets sigma_p(0, s) or sigma_p(r, 0).  The
-    three kinds of class share one table of length 3p, filled only where
-    a class occurs, so each prime costs O(N) array passes plus at most
-    min(N, 3p) character sums of length p, evaluated in chunks of about
-    4M entries.  The result is exactly sigma_p at every row.
+
+@lru_cache(maxsize=256)
+def _class_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a_p(k, k), a_p(0, s), a_p(r, 0)) at every residue, by FFT correlation.
+
+    Each table is -sum_v h(v) chi(v + k) for a histogram h over F_p (see
+    the module docstring), computed as one cyclic correlation of length
+    p with chi, zero-padded to a power of two n >= 2p - 1 against two
+    periods of chi so that no index wraps.  O(p log p) per prime.  The
+    tables are int16 (|a_p| <= 2 sqrt(p) fits for p < 2^28), 6p bytes.
+    """
+    chi = residue_table(p).astype(np.float64)
+    x = np.arange(p, dtype=np.int64)
+    u = x[1:]
+    w = u - 1
+    g = (w * w % p) * w % p * _powmod(u, p - 2, p) % p  # (u - 1)^3 / u
+    hist = np.stack(
+        (
+            np.bincount(g, weights=chi[1:], minlength=p),  # H(v)
+            np.bincount((x * x % p) * x % p, minlength=p),  # cubes
+            np.bincount(x * x % p, weights=chi, minlength=p),  # squares signed by chi(x)
+        )
+    )
+    n = 1 << (2 * p - 2).bit_length()
+    spec = np.conj(np.fft.rfft(hist, n)) * np.fft.rfft(np.tile(chi, 2), n)
+    corr = _certified_round(np.fft.irfft(spec, n)[:, :p], f"class tables at p={p}")
+    kk, zs, rz = (-corr).astype(np.int16)
+    kk -= int(chi[p - 1])
+    for t in (kk, zs, rz):
+        t.setflags(write=False)
+    return kk, zs, rz
+
+
+def _twist_class_traces(rm: np.ndarray, sm: np.ndarray, p: int) -> np.ndarray:
+    """chi(r s) a_p(k, k), k = r^3 s^-2, for residue arrays rm, sm that broadcast.
+
+    Exact where r s != 0 (mod p); the caller fills the r = 0 and s = 0 cells.
+    """
+    chi = residue_table(p)
+    r3 = (rm * rm % p) * rm % p
+    out = _class_tables(p)[0][r3 * _powmod(sm, p - 3, p) % p].astype(np.int64)  # s^(p-3) = s^-2
+    out *= chi[rm]
+    out *= chi[sm]
+    return out
+
+
+def sigma_p_batch(r: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
+    """sigma_p for many curves at once, gathered from the class tables.
+
+    A row with r s != 0 (mod p) reads chi(r s) a_p(k, k) with
+    k = r^3 s^-2 mod p (see the module docstring); a row with r = 0 or
+    s = 0 (mod p) reads a_p(0, s) or a_p(r, 0).  Each prime costs the
+    O(p log p) tables once (cached) plus O(N log p) array passes.  The
+    result is exactly sigma_p at every row.
     """
     if p < 5:
         raise ValueError("sigma_p_batch requires p >= 5")
     rm = np.asarray(r, dtype=np.int64) % p
     sm = np.asarray(s, dtype=np.int64) % p
-    chi = residue_table(p)
+    _, zs, rz = _class_tables(p)
+    out = _twist_class_traces(rm, sm, p)
     r0, s0 = rm == 0, sm == 0
-    generic = ~(r0 | s0)
-    # inverses of the s residues that occur, by Fermat's little theorem
-    sv = np.flatnonzero(np.bincount(sm[generic], minlength=p))
-    inv = np.zeros(p, dtype=np.int64)
-    inv[sv] = _powmod(sv, p - 2, p)
-    si = inv[sm]
-    k = (rm * rm % p) * rm % p * (si * si % p) % p
-    # table slots: k for generic rows, p + s for r = 0, 2p + r for s = 0
-    code = np.where(generic, k, np.where(r0, p + sm, 2 * p + rm))
-    cls = np.flatnonzero(np.bincount(code, minlength=3 * p))
-    a = np.where(cls < p, cls, np.where(cls < 2 * p, 0, cls - 2 * p))
-    b = np.where(cls < p, cls, np.where(cls < 2 * p, cls - p, 0))
-    x = np.arange(p, dtype=np.int64)
-    x3 = (x * x % p) * x % p
-    table = np.zeros(3 * p, dtype=np.int64)
-    chunk = max(1, 4_000_000 // p)
-    for i in range(0, len(cls), chunk):
-        f = (x3[None, :] + a[i : i + chunk, None] * x[None, :] + b[i : i + chunk, None]) % p
-        table[cls[i : i + chunk]] = -chi[f].sum(axis=1, dtype=np.int64)
-    sign = np.where(generic, chi[rm * sm % p], 1)
-    return sign * table[code]
+    out[r0] = zs[sm[r0]]
+    out[s0] = rz[rm[s0]]
+    return out
+
+
+def _trace_rectangle(rv: np.ndarray, sv: np.ndarray, p: int) -> np.ndarray:
+    """sigma_p at every cell (rv[i], sv[j]) of a product grid, shape (len(rv), len(sv)).
+
+    The class is the outer product (r^3 mod p) x (s^-2 mod p) and the sign
+    chi(r) x chi(s), so the per-row and per-column work is done once on the
+    vectors; rows with r = 0 read a_p(0, s) and columns with s = 0 read
+    a_p(r, 0).
+    """
+    rm, sm = rv % p, sv % p
+    _, zs, rz = _class_tables(p)
+    out = _twist_class_traces(rm[:, None], sm, p)
+    out[rm == 0] = zs[sm]
+    out[:, sm == 0] = rz[rm][:, None]
+    return out
 
 
 @lru_cache(maxsize=64)

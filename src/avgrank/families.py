@@ -10,10 +10,25 @@ with U1, U2 the weighted prime sums of the explicit formula.  The
 unquantified O(1/log X) constant is exposed as C0 (default 0) and every
 report carries a caveat line saying so.
 
-Families are streamed or held as flat arrays; all aggregation uses
-math.fsum in a fixed order so repeated runs are bit-identical.
-prime_terms is the one route from a family's arrays to per-prime U1 / U2
-terms; the scalar U1, U2 and rank_bound remain as oracles.
+Box families are held as product grids (BoxGrid): row values rv, column
+values sv and a boolean keep mask over rv x sv for the singularity,
+minimality and weight-support filters.  box_grid and _family_grid give
+the same family as flat row-major arrays.  rank_bound_terms works on the
+grid: per prime it gathers the whole trace rectangle from row and column
+vectors (curves._trace_rectangle), takes each U1 / U2 term cell by cell
+and cuts to the kept cells once at the end.  prime_terms takes the same
+terms for flat arrays (twists, cache).  All aggregation uses math.fsum
+in a fixed order so repeated runs are bit-identical; the scalar U1, U2
+and rank_bound remain as oracles.
+
+The conductor surrogate of a grid comes from a root sieve (the line
+sieve of C. Pomerance, "The quadratic sieve factoring algorithm",
+EUROCRYPT 1984): for p >= 5, p | Delta exactly when
+-4 r^3 = 27 s^2 (mod p), so sorting the column residues 27 s^2 and
+searching the row residues -4 r^3 in them finds every cell p divides,
+and only those are divided.  Primes run in ascending order with the
+operands of the trial-division oracle _conductor_batch, so the two agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +42,7 @@ import numpy as np
 from .arith import PrimeTable, sieve_primes
 from .curves import (
     Curve,
+    _trace_rectangle,
     ap,
     c_pk,
     conductor_surrogate,
@@ -43,6 +59,7 @@ __all__ = [
     "int_root",
     "enumerate_D",
     "enumerate_C",
+    "BoxGrid",
     "box_grid",
     "weight_wT",
     "S_T",
@@ -114,7 +131,55 @@ def weight_wT(curve: Curve, params: FamilyParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# flat-array family grid (the batch workhorse)
+# product grids (the batch workhorse)
+
+
+@dataclass(frozen=True)
+class BoxGrid:
+    """A filtered product family: the curve (rv[i], sv[j]) belongs iff keep[i, j].
+
+    cells() lists the members row-major in (r, s) as flat arrays.
+    """
+
+    rv: np.ndarray
+    sv: np.ndarray
+    keep: np.ndarray  # bool, shape (len(rv), len(sv))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.keep))
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        i, j = np.nonzero(self.keep)
+        return self.rv[i], self.sv[j]
+
+
+def _product_grid(
+    rv: np.ndarray, sv: np.ndarray, minimal_only: bool, exclude_singular: bool
+) -> BoxGrid:
+    """The product rv x sv with the singularity / minimality filters.
+
+    A model is non-minimal when it is (0, 0) or some prime has p^4 | r and
+    p^6 | s; such a p satisfies p^4 <= |r| or p^6 <= |s|.
+    """
+    keep = np.ones((len(rv), len(sv)), dtype=bool)
+    if exclude_singular:
+        keep &= np.add.outer(4 * rv**3, 27 * sv**2) != 0
+    if minimal_only and keep.size:
+        keep &= (rv != 0)[:, None] | (sv != 0)
+        rtop, stop = int(np.abs(rv).max()), int(np.abs(sv).max())
+        for p in sieve_primes(max(int_root(rtop, 4), int_root(stop, 6))):
+            keep &= (rv % p**4 != 0)[:, None] | (sv % p**6 != 0)
+    return BoxGrid(rv, sv, keep)
+
+
+def _box(T: float, minimal_only: bool = True, exclude_singular: bool = True) -> BoxGrid:
+    """The unweighted box family as a grid; the defaults give C(T)."""
+    if T < 1:
+        raise ValueError("box_grid requires T >= 1")
+    rmax, smax = int_root(T, 3), int_root(T, 2)
+    rv = np.arange(-rmax, rmax + 1, dtype=np.int64)
+    sv = np.arange(-smax, smax + 1, dtype=np.int64)
+    return _product_grid(rv, sv, minimal_only, exclude_singular)
 
 
 def box_grid(
@@ -124,40 +189,13 @@ def box_grid(
 
     The defaults give C(T); minimal_only=False gives D(T).
     """
-    if T < 1:
-        raise ValueError("box_grid requires T >= 1")
-    rmax, smax = int_root(T, 3), int_root(T, 2)
-    rv = np.arange(-rmax, rmax + 1, dtype=np.int64)
-    sv = np.arange(-smax, smax + 1, dtype=np.int64)
-    return _product_grid(rv, sv, minimal_only, exclude_singular)
+    return _box(T, minimal_only, exclude_singular).cells()
 
 
-def _product_grid(
-    rv: np.ndarray, sv: np.ndarray, minimal_only: bool, exclude_singular: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """(R, S) arrays of the filtered product rv x sv, row-major.
+def _weighted_grid(params: FamilyParams) -> tuple[BoxGrid, np.ndarray]:
+    """The family inside the weight support, and each member's weight.
 
-    A model is non-minimal when it is (0, 0) or some prime has p^4 | r and
-    p^6 | s; such a p satisfies p^4 <= |r| or p^6 <= |s|.
-    """
-    R = np.repeat(rv, len(sv))
-    S = np.tile(sv, len(rv))
-    keep = np.ones(len(R), dtype=bool)
-    if exclude_singular:
-        keep &= 4 * R**3 + 27 * S**2 != 0
-    if minimal_only and len(R):
-        keep &= (R != 0) | (S != 0)
-        rtop, stop = int(np.abs(rv).max()), int(np.abs(sv).max())
-        for p in sieve_primes(max(int_root(rtop, 4), int_root(stop, 6))):
-            keep &= (R % p**4 != 0) | (S % p**6 != 0)
-    return R[keep], S[keep]
-
-
-def _family_grid(params: FamilyParams):
-    """(R, S, W) arrays for the curves inside the weight support.
-
-    Applies the singularity / minimality filters demanded by params; curves
-    with zero weight are dropped before the grid is built.
+    Rows and columns of zero weight are dropped before the filters run.
     """
     T = params.T
     rmax, smax = int_root(T, 3), int_root(T, 2)
@@ -165,15 +203,20 @@ def _family_grid(params: FamilyParams):
     sv = np.arange(-smax, smax + 1, dtype=np.int64)
     wr = np.asarray(params.weight_r(rv * T ** (-1 / 3)), dtype=np.float64)
     ws = np.asarray(params.weight_s(sv * T ** (-1 / 2)), dtype=np.float64)
-    rv, sv = rv[wr > 0], sv[ws > 0]
-    R, S = _product_grid(rv, sv, params.minimal_only, params.exclude_singular)
-    return R, S, wr[R + rmax] * ws[S + smax]
+    rin, sin = wr > 0, ws > 0
+    grid = _product_grid(rv[rin], sv[sin], params.minimal_only, params.exclude_singular)
+    return grid, np.multiply.outer(wr[rin], ws[sin])[grid.keep]
+
+
+def _family_grid(params: FamilyParams):
+    """(R, S, W) flat arrays for the curves inside the weight support."""
+    grid, W = _weighted_grid(params)
+    return (*grid.cells(), W)
 
 
 def S_T(params: FamilyParams) -> float:
     """Weighted count sum_{E in C} w_T(E)."""
-    _, _, W = _family_grid(params)
-    return math.fsum(W.tolist())
+    return math.fsum(_weighted_grid(params)[1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +258,20 @@ def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: PrimeTable | Non
     )
 
 
+def _terms(traces, delta, X: float, primes: PrimeTable):
+    """(p, t1, t2) per prime from a trace callback p -> sigma_p array (see prime_terms)."""
+    for p in primes.in_range(5, X):
+        sig = traces(p)
+        lp = math.log(p)
+        t1 = -(lp / p) * h_X(lp, X) * sig
+        t2 = None
+        if p * p <= X:
+            bad = delta % p == 0
+            c = np.where(bad, -(sig * sig) / (2.0 * p * p), -(sig * sig - 2.0 * p) / (2.0 * p * p))
+            t2 = c * 2.0 * lp * h_X(2.0 * lp, X)
+        yield p, t1, t2
+
+
 def prime_terms(
     R: np.ndarray, S: np.ndarray, delta: np.ndarray, X: float, primes: PrimeTable
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
@@ -226,35 +283,29 @@ def prime_terms(
     (minimal) model and decides the bad primes of c_{p^2}.  R, S and delta
     may be int64 or Python-int (dtype=object) arrays; R and S are reduced
     mod p before the batch engine.  Each element equals the term that
-    U1 / U2 sum for that curve, bit for bit.
+    U1 / U2 sum for that curve, bit for bit.  Grids take the same terms
+    cell by cell in rank_bound_terms.
     """
-    for p in primes.in_range(5, X):
-        sig = sigma_p_batch(R % p, S % p, p)
-        lp = math.log(p)
-        t1 = -(lp / p) * h_X(lp, X) * sig
-        t2 = None
-        if p * p <= X:
-            bad = delta % p == 0
-            c = np.where(bad, -(sig * sig) / (2.0 * p * p), -(sig * sig - 2.0 * p) / (2.0 * p * p))
-            t2 = c * 2.0 * lp * h_X(2.0 * lp, X)
-        yield p, t1, t2
+    return _terms(lambda p: sigma_p_batch(R % p, S % p, p), delta, X, primes)
 
 
 def rank_bound_terms(
-    R: np.ndarray, S: np.ndarray, X: float, primes: PrimeTable
+    grid: BoxGrid, X: float, primes: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log N_surrogate, U1, U2) arrays for a family, batched per prime.
+    """(log N_surrogate, U1, U2) arrays over grid.cells(), batched per prime.
 
-    The prime sums accumulate in increasing p, one array update per prime.
+    The prime sums accumulate in increasing p, one rectangle update per
+    prime, and are cut to the kept cells once at the end.
     """
-    delta = discriminant(R, S)
-    u1 = np.zeros(len(R))
-    u2 = np.zeros(len(R))
-    for _, t1, t2 in prime_terms(R, S, delta, X, primes):
+    rv, sv = grid.rv, grid.sv
+    u1 = np.zeros(grid.keep.shape)
+    u2 = np.zeros(grid.keep.shape)
+    rect_delta = discriminant(rv[:, None], sv)
+    for _, t1, t2 in _terms(lambda p: _trace_rectangle(rv, sv, p), rect_delta, X, primes):
         u1 += t1
         if t2 is not None:
             u2 += t2
-    return _conductor_batch(R, delta), u1, u2
+    return _conductor_grid(grid), u1[grid.keep], u2[grid.keep]
 
 
 def fsum_rows(cols: list[np.ndarray], n: int) -> list[float]:
@@ -262,8 +313,8 @@ def fsum_rows(cols: list[np.ndarray], n: int) -> list[float]:
     return [math.fsum(row) for row in np.reshape(cols, (len(cols), n)).T.tolist()]
 
 
-def _conductor_batch(R: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """log of the conductor surrogate, vectorized over a family."""
+def _strip_2_3(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|delta| without its factors 2 and 3, and log of the 2^8 3^5 part of N."""
     rem = np.abs(delta.copy())
     logn = np.full(len(delta), 8 * math.log(2))
     for _ in range(64):
@@ -278,6 +329,21 @@ def _conductor_batch(R: np.ndarray, delta: np.ndarray) -> np.ndarray:
         if not m.any():
             break
         rem[m] //= 3
+    return rem, logn
+
+
+def _add_leftover(R: np.ndarray, rem: np.ndarray, logn: np.ndarray) -> np.ndarray:
+    """Add the cofactor left after trial division, a prime, with its exponent."""
+    left = rem > 1
+    if left.any():
+        exp = np.where(R[left] % rem[left] != 0, 1.0, 2.0)
+        logn[left] += exp * np.log(rem[left].astype(np.float64))
+    return logn
+
+
+def _conductor_batch(R: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """log of the conductor surrogate, vectorized over a family (the oracle)."""
+    rem, logn = _strip_2_3(delta)
     top = int(rem.max()) if len(rem) else 1
     for p in sieve_primes(math.isqrt(top)):
         if p < 5:
@@ -292,11 +358,63 @@ def _conductor_batch(R: np.ndarray, delta: np.ndarray) -> np.ndarray:
             if not mm.any():
                 break
             rem[mm] //= p
-    left = rem > 1
-    if left.any():
-        exp = np.where(R[left] % rem[left] != 0, 1.0, 2.0)
-        logn[left] += exp * np.log(rem[left].astype(np.float64))
-    return logn
+    return _add_leftover(R, rem, logn)
+
+
+# entries of the per-block residue arrays in _conductor_grid (bounds its memory)
+_SIEVE_BLOCK = 1 << 14
+
+
+def _conductor_grid(grid: BoxGrid) -> np.ndarray:
+    """_conductor_batch over grid.cells(), bit for bit, by root sieving.
+
+    For p >= 5, p | Delta exactly when -4 r^3 = 27 s^2 (mod p).  Per prime
+    the column residues are sorted and the row residues searched in them,
+    so only the hit cells are divided.  The residues and searches of a
+    block of primes (at most _SIEVE_BLOCK entries) are batched; the
+    updates then run prime by prime in ascending order with the same
+    operands as _conductor_batch.
+    """
+    R, S = grid.cells()
+    rem, logn = _strip_2_3(discriminant(R, S))
+    top = int(rem.max()) if len(rem) else 1
+    ps = sieve_primes(math.isqrt(top)).array()
+    ps = ps[ps >= 5]
+    rv, sv = grid.rv, grid.sv
+    nr, ns = grid.keep.shape
+    row = np.full(grid.keep.size, -1, dtype=np.int64)  # cell -> index into R
+    row[grid.keep.ravel()] = np.arange(len(R))
+    # singular cells (never kept) are roots at every prime; discount them
+    singular = np.count_nonzero(np.add.outer(4 * rv**3, 27 * sv**2) == 0, axis=1)
+    step = max(1, _SIEVE_BLOCK // max(1, nr + ns))
+    for first in range(0, len(ps), step):
+        P = ps[first : first + step, None]
+        rm, sm = rv % P, sv % P
+        a = -4 * ((rm * rm % P) * rm % P) % P
+        b = 27 * (sm * sm % P) % P
+        # offset block row k by k * max(P): one sorted array for all primes
+        off = np.arange(len(P))[:, None] * int(P[-1, 0])
+        order = np.argsort(b, axis=1)
+        keys = (np.take_along_axis(b, order, axis=1) + off).ravel()
+        lo = np.searchsorted(keys, (a + off).ravel(), "left").reshape(-1, nr)
+        cnt = np.searchsorted(keys, (a + off).ravel(), "right").reshape(-1, nr) - lo
+        lo -= np.arange(len(P))[:, None] * ns
+        for k in np.flatnonzero((cnt > singular).any(axis=1)):
+            p = int(P[k, 0])
+            hits = int(cnt[k].sum())
+            i = np.repeat(np.arange(nr), cnt[k])
+            j = order[k, np.arange(hits) - np.repeat(np.cumsum(cnt[k]) - cnt[k] - lo[k], cnt[k])]
+            m = row[i * ns + j]
+            m = m[m >= 0]
+            m = m[rem[m] % p == 0]  # exact roots always pass; keeps rem > 0
+            if not len(m):
+                continue
+            exp = np.where(R[m] % p != 0, 1.0, 2.0)
+            logn[m] += exp * math.log(p)
+            while len(m):
+                rem[m] //= p
+                m = m[rem[m] % p == 0]
+    return _add_leftover(R, rem, logn)
 
 
 @dataclass
@@ -322,17 +440,6 @@ class RankBoundReport:
     u2_over_logX: float  # weighted avg of raw U2, divided by log X (near 1/4 in the limit)
     caveat: str = CAVEAT
 
-    def iter_records(self):
-        for i in range(len(self.r)):
-            yield (
-                int(self.r[i]),
-                int(self.s[i]),
-                float(self.logN_term[i]),
-                float(self.U1_term[i]),
-                float(self.U2_term[i]),
-                float(self.bound[i]),
-            )
-
 
 def _wavg(w: np.ndarray, x: np.ndarray, wsum: float) -> float:
     return math.fsum((w * x).tolist()) / wsum
@@ -346,11 +453,12 @@ def average_rank_experiment(
         raise ValueError("average_rank_experiment requires 1 < X <= T^(5/6)")
     if primes is None:
         primes = sieve_primes(int(X))
-    R, S, W = _family_grid(params)
-    if len(R) == 0:
+    grid, W = _weighted_grid(params)
+    if len(W) == 0:
         raise ValueError("empty family: weight support contains no lattice points")
+    R, S = grid.cells()
     logX = math.log(X)
-    logn, u1, u2 = rank_bound_terms(R, S, X, primes)
+    logn, u1, u2 = rank_bound_terms(grid, X, primes)
     logn_term = logn / logX
     u1_term = (2.0 / logX) * u1
     u2_term = (2.0 / logX) * u2

@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .arith import PrimeTable, sieve_primes
-from .curves import Curve, sigma_p, sigma_p_batch
-from .families import box_grid, rank_bound_terms
+from .curves import Curve, _trace_rectangle, sigma_p
+from .families import _box, rank_bound_terms
 from .weights import h_X
 
 __all__ = [
@@ -56,11 +56,11 @@ def V(curve: Curve, X: float, primes: PrimeTable) -> float:
 
 def V_family(T: float, X: float, primes: PrimeTable) -> np.ndarray:
     """V(E, X) for every curve of D(T), in row-major (r, s) order."""
-    R, S = box_grid(T, minimal_only=False)
-    out = np.zeros(len(R))
+    grid = _box(T, minimal_only=False)
+    out = np.zeros(grid.keep.shape)
     for p in primes.in_range(101, X):
-        out += (math.log(p) / p) * h_X(math.log(p), X) * sigma_p_batch(R, S, p)
-    return out
+        out += (math.log(p) / p) * h_X(math.log(p), X) * _trace_rectangle(grid.rv, grid.sv, p)
+    return out[grid.keep]
 
 
 def moment_2k(T: float, X: float, k: int, primes: PrimeTable | None = None) -> float:
@@ -78,7 +78,7 @@ def moment_2k(T: float, X: float, k: int, primes: PrimeTable | None = None) -> f
 
 
 def count_C(T: float) -> int:
-    return len(box_grid(T)[0])
+    return len(_box(T))
 
 
 def density_bound(
@@ -174,12 +174,12 @@ def high_rank_census(
         raise ValueError("high_rank_census requires X > 1 and T > e")
     if primes is None:
         primes = sieve_primes(int(X))
-    Rs, Ss = box_grid(T)
-    logn, u1, u2 = rank_bound_terms(Rs, Ss, X, primes)
+    grid = _box(T)
+    logn, u1, u2 = rank_bound_terms(grid, X, primes)
     logX = math.log(X)
     bounds = logn / logX + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
-    n_C = len(Rs)
-    n_D = len(box_grid(T, minimal_only=False)[0])
+    n_C = len(grid)
+    n_D = len(_box(T, minimal_only=False))
     rows = []
     for R in range(0, R_max + 1):
         census = int((bounds >= R).sum())

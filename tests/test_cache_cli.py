@@ -398,3 +398,68 @@ def test_cli_twists_empty_class_writes_null(tmp_path):
     assert summary["avg_bound_plus"] is None
     assert summary["proportion_rank0_lower"] is None
     assert summary["avg_bound_minus"] is not None
+
+
+def _argv(cmd, tmp_path, *extra):
+    """Full argv of a subcommand with valid defaults; extra flags come last."""
+    out = [str(tmp_path / "out.csv"), str(tmp_path / "out.json")]
+    base = {
+        "average-rank": ["average-rank", "--T", "500", "--X", "30"],
+        "density": ["density", "--T", "500", "--X", "30"],
+        "twists": ["twists", "--r", "1", "--s", "1", "--N", "49", "--w", "1", "--T", "500", "--X", "30"],
+    }
+    if cmd == "cache build":
+        return ["cache", "build", "--T", "30", "--X", "20", "--out", str(tmp_path / "out.apcache"), *extra]
+    return base[cmd] + ["--out-csv", out[0], "--out-json", out[1], *extra]
+
+
+@pytest.mark.parametrize(
+    "cmd, flags, match",
+    [
+        ("average-rank", ("--T", "inf"), "--T must be a finite number"),
+        ("density", ("--T", "inf"), "--T must be a finite number"),
+        ("twists", ("--T", "inf"), "--T must be a finite number"),
+        ("cache build", ("--T", "inf"), "--T must be a finite number"),
+        ("cache build", ("--X", "inf"), "--X must be a finite number"),
+        ("average-rank", ("--C0", "nan"), "--C0 must be a finite number"),
+        ("average-rank", ("--C0", "inf"), "--C0 must be a finite number"),
+        ("density", ("--C0", "nan"), "--C0 must be a finite number"),
+        ("density", ("--C0", "inf"), "--C0 must be a finite number"),
+        ("density", ("--R-max", "-1"), "--R-max must be a nonnegative integer"),
+    ],
+)
+def test_cli_bad_value_flag_exits_2_before_writing(tmp_path, capsys, cmd, flags, match):
+    rc = run_cli(_argv(cmd, tmp_path, *flags))
+    assert rc == 2
+    assert match in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "cmd, config, match",
+    [
+        ("average-rank", '{"T": Infinity}', "--T must be a finite number"),
+        ("cache build", '{"X": -Infinity}', "--X must be a finite number"),
+        ("density", '{"C0": NaN}', "--C0 must be a finite number"),
+        ("density", '{"R-max": -1}', "--R-max must be a nonnegative integer"),
+        ("density", '{"R_max": 2.5}', "--R-max must be a nonnegative integer"),
+        ("average-rank", '{"C0": "x"}', "--C0 must be a finite number"),
+    ],
+)
+def test_cli_bad_value_in_config_exits_2_before_writing(tmp_path, capsys, cmd, config, match):
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    cfg = cfg_dir / "c.json"
+    cfg.write_text(config)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = _argv(cmd, out_dir, "--config", str(cfg))
+    for key in json.loads(config):
+        flag = "--" + key.replace("_", "-")
+        if flag in argv:  # the config value must not be overridden by a flag
+            i = argv.index(flag)
+            del argv[i : i + 2]
+    rc = run_cli(argv)
+    assert rc == 2
+    assert match in _one_error_line(capsys)
+    assert list(out_dir.iterdir()) == []

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from avgrank.arith import sieve_primes
 from avgrank.curves import (
     Curve,
+    _class_tables,
+    _trace_rectangle,
     NumericalDriftError,
     TraceData,
     ap,
@@ -117,8 +119,7 @@ def test_sigma_p_batch_matches_scalar_oracles(case):
 
 
 def test_sigma_p_batch_sparse_classes_and_chunks():
-    # p > N: most residues never occur, and 600 classes exceed one chunk of
-    # 4M / p = 399 rows of length p
+    # p > N: most residues never occur; rows with r = 0 or s = 0 (mod p) mixed in
     p = 10007
     rng = np.random.default_rng(11)
     R = rng.integers(-(10**15), 10**15, size=600)
@@ -127,6 +128,75 @@ def test_sigma_p_batch_sparse_classes_and_chunks():
     S[10:30] = -p * rng.integers(0, 100, size=20)
     batch = sigma_p_batch(R, S, p)
     assert [int(a) for a in batch] == [sigma_p(int(r), int(s), p) for r, s in zip(R, S)]
+
+
+@st.composite
+def grid_vectors(draw):
+    """(p, rv, sv): row and column values of a product grid, multiples of p mixed in."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    coef = st.one_of(
+        st.integers(-50, 50),
+        st.integers(-(10**18), 10**18),
+        st.integers(-(10**12), 10**12).map(lambda m: m * p),
+    )
+    rv = draw(st.lists(coef, min_size=1, max_size=8))
+    sv = draw(st.lists(coef, min_size=1, max_size=8))
+    return p, np.array(rv, dtype=np.int64), np.array(sv, dtype=np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_vectors())
+# r = 0 rows, s = 0 columns and cells with p | gcd(r, s), at p = 1 and 2 mod 3
+@example((7, np.array([0, 14, 3, -7]), np.array([0, -21, 5, 7])))
+@example((11, np.array([22, -1, 0]), np.array([-11, 10**15, 4, 0])))
+def test_trace_rectangle_matches_scalar_oracles(case):
+    p, rv, sv = case
+    rect = _trace_rectangle(rv, sv, p)
+    assert rect.shape == (len(rv), len(sv)) and rect.dtype == np.int64
+    for i, r in enumerate(rv.tolist()):
+        for j, s in enumerate(sv.tolist()):
+            assert rect[i, j] == sigma_p(r, s, p) == sigma_p_charsum(r, s, p), (r, s, p)
+
+
+TABLE_PRIMES = [5, 7, 11, 13, 101, 997]
+
+
+def test_table_primes_cover_both_classes_mod_3():
+    # p = 1 mod 3 has three cube roots of unity, so the cube histogram differs
+    assert {p % 3 for p in TABLE_PRIMES} == {1, 2}
+
+
+@pytest.mark.parametrize("p", TABLE_PRIMES)
+def test_class_tables_match_sigma_p_at_every_residue(p):
+    kk, zs, rz = _class_tables(p)
+    assert kk.dtype == zs.dtype == rz.dtype == np.int16
+    for k in range(p):
+        assert (kk[k], zs[k], rz[k]) == (sigma_p(k, k, p), sigma_p(0, k, p), sigma_p(k, 0, p)), k
+
+
+@pytest.mark.parametrize("p", [7919, 10007])
+def test_class_tables_match_sigma_p_sampled(p):
+    kk, zs, rz = _class_tables(p)
+    ks = [0, 1, p - 1] + np.random.default_rng(p).integers(2, p - 1, size=40).tolist()
+    for k in ks:
+        assert (kk[k], zs[k], rz[k]) == (sigma_p(k, k, p), sigma_p(0, k, p), sigma_p(k, 0, p)), k
+
+
+def test_class_tables_certificate_rejects_perturbed_correlation(monkeypatch):
+    clean = [t.copy() for t in _class_tables(101)]
+    irfft = np.fft.irfft
+    try:
+        for shift in (0.3, -0.25):
+            _class_tables.cache_clear()
+            monkeypatch.setattr(np.fft, "irfft", lambda *a, d=shift, **k: irfft(*a, **k) + d)
+            with pytest.raises(NumericalDriftError, match="p=101"):
+                _class_tables(101)
+        # inside the certificate's margin the rounding restores the exact tables
+        _class_tables.cache_clear()
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.2)
+        assert all(np.array_equal(a, b) for a, b in zip(_class_tables(101), clean))
+    finally:
+        _class_tables.cache_clear()
 
 
 def test_sigma_p_large_coefficients_no_overflow():

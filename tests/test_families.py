@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from avgrank.arith import sieve_primes
+from avgrank.arith import factorize, sieve_primes
 from avgrank.curves import Curve, ap, c_pk, conductor_surrogate, discriminant, is_minimal, sigma_p
 from avgrank.families import (
     CAVEAT,
@@ -11,7 +11,13 @@ from avgrank.families import (
     S_T,
     U1,
     U2,
+    _box,
+    _conductor_batch,
+    _conductor_grid,
     _family_grid,
+    _product_grid,
+    _strip_2_3,
+    _weighted_grid,
     average_rank_experiment,
     box_grid,
     enumerate_C,
@@ -121,6 +127,48 @@ def test_prime_terms_int64_and_object_arrays_agree():
         assert (a2 is None) == (b2 is None)
         assert a2 is None or np.array_equal(a2, b2)
     assert sum(t2 is not None for _, _, t2 in fast) == len(primes.in_range(5, math.sqrt(X)))
+
+
+def _sieve_cases(R, S):
+    """Rows with exponent 2 at some p >= 5, and rows whose rest after 2 and 3
+    has a prime factor above the trial bound, among the first 400 rows."""
+    rem, _ = _strip_2_3(discriminant(R, S))
+    bound = math.isqrt(int(rem.max()))
+    # p >= 5 has exponent 2 exactly when p | gcd(r, s)
+    exp2 = sum(1 for r, s in zip(R.tolist(), S.tolist()) if max(factorize(math.gcd(r, s)), default=1) >= 5)
+    left = sum(1 for x in rem[:400].tolist() if x > 1 and max(factorize(x)) > bound)
+    return exp2, left
+
+
+@pytest.mark.parametrize("T", [300.0, 2.0e4, 1.0e5])
+def test_root_sieve_matches_trial_division_bitwise(T):
+    # the census grid C(T) and the weighted average-rank grid
+    for grid in (_box(T), _weighted_grid(FamilyParams(T=T))[0]):
+        R, S = grid.cells()
+        got = _conductor_grid(grid)
+        want = _conductor_batch(R, discriminant(R, S))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        exp2, left = _sieve_cases(R, S)
+        assert exp2 > 0 and left > 0
+
+
+def test_root_sieve_thin_grid_at_T_1e12_matches_scalar_surrogate():
+    # r near 1e4 and s near 1e6: the trial bound passes 2.1e6, where an
+    # unreduced (r mod p)^3 leaves int64.  (9973, 997300) has exponent 2 at
+    # the prime 9973.  The singular (-3 * 57^2, 2 * 57^3) and the non-minimal
+    # (0, 0), (10^4, 0) and (10^4, 10^6) are not kept.
+    rv = np.array([-10007, -9999, -3 * 57**2, 0, 9973, 10000], dtype=np.int64)
+    sv = np.array([-999983, -1, 0, 2 * 57**3, 997300, 999999, 1000000], dtype=np.int64)
+    grid = _product_grid(rv, sv, True, True)
+    R, S = grid.cells()
+    assert not grid.keep[2, 3] and not grid.keep[3, 2] and grid.keep.sum() == grid.keep.size - 5
+    rem, _ = _strip_2_3(discriminant(R, S))
+    assert math.isqrt(int(rem.max())) ** 3 > 2**63
+    got = _conductor_grid(grid)
+    want = [math.log(conductor_surrogate(Curve(r, s))) for r, s in zip(R.tolist(), S.tolist())]
+    assert np.allclose(got, want, rtol=1e-14, atol=0)
+    exp2, left = _sieve_cases(R, S)
+    assert exp2 > 0 and left > 0
 
 
 def test_U1_two_term_hand_value():
