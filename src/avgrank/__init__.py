@@ -34,7 +34,6 @@ from .curves import (
 )
 from .families import (
     CAVEAT,
-    BoxGrid,
     FamilyParams,
     RankBoundReport,
     S_T,

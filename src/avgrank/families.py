@@ -59,7 +59,6 @@ __all__ = [
     "int_root",
     "enumerate_D",
     "enumerate_C",
-    "BoxGrid",
     "box_grid",
     "weight_wT",
     "S_T",
@@ -361,59 +360,48 @@ def _conductor_batch(R: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return _add_leftover(R, rem, logn)
 
 
-# entries of the per-block residue arrays in _conductor_grid (bounds its memory)
-_SIEVE_BLOCK = 1 << 14
-
-
 def _conductor_grid(grid: BoxGrid) -> np.ndarray:
     """_conductor_batch over grid.cells(), bit for bit, by root sieving.
 
     For p >= 5, p | Delta exactly when -4 r^3 = 27 s^2 (mod p).  Per prime
     the column residues are sorted and the row residues searched in them,
-    so only the hit cells are divided.  The residues and searches of a
-    block of primes (at most _SIEVE_BLOCK entries) are batched; the
-    updates then run prime by prime in ascending order with the same
-    operands as _conductor_batch.
+    so only the hit cells are divided, in ascending p with the same
+    operands as _conductor_batch.  The residues are taken of -4 r^3 and
+    27 s^2 themselves, which discriminant() already forms in int64, so no
+    product of residues can overflow at large T.
     """
     R, S = grid.cells()
     rem, logn = _strip_2_3(discriminant(R, S))
     top = int(rem.max()) if len(rem) else 1
-    ps = sieve_primes(math.isqrt(top)).array()
-    ps = ps[ps >= 5]
-    rv, sv = grid.rv, grid.sv
+    r_term, s_term = -4 * grid.rv**3, 27 * grid.sv**2
     nr, ns = grid.keep.shape
     row = np.full(grid.keep.size, -1, dtype=np.int64)  # cell -> index into R
     row[grid.keep.ravel()] = np.arange(len(R))
-    # singular cells (never kept) are roots at every prime; discount them
-    singular = np.count_nonzero(np.add.outer(4 * rv**3, 27 * sv**2) == 0, axis=1)
-    step = max(1, _SIEVE_BLOCK // max(1, nr + ns))
-    for first in range(0, len(ps), step):
-        P = ps[first : first + step, None]
-        rm, sm = rv % P, sv % P
-        a = -4 * ((rm * rm % P) * rm % P) % P
-        b = 27 * (sm * sm % P) % P
-        # offset block row k by k * max(P): one sorted array for all primes
-        off = np.arange(len(P))[:, None] * int(P[-1, 0])
-        order = np.argsort(b, axis=1)
-        keys = (np.take_along_axis(b, order, axis=1) + off).ravel()
-        lo = np.searchsorted(keys, (a + off).ravel(), "left").reshape(-1, nr)
-        cnt = np.searchsorted(keys, (a + off).ravel(), "right").reshape(-1, nr) - lo
-        lo -= np.arange(len(P))[:, None] * ns
-        for k in np.flatnonzero((cnt > singular).any(axis=1)):
-            p = int(P[k, 0])
-            hits = int(cnt[k].sum())
-            i = np.repeat(np.arange(nr), cnt[k])
-            j = order[k, np.arange(hits) - np.repeat(np.cumsum(cnt[k]) - cnt[k] - lo[k], cnt[k])]
-            m = row[i * ns + j]
-            m = m[m >= 0]
-            m = m[rem[m] % p == 0]  # exact roots always pass; keeps rem > 0
-            if not len(m):
-                continue
-            exp = np.where(R[m] % p != 0, 1.0, 2.0)
-            logn[m] += exp * math.log(p)
-            while len(m):
-                rem[m] //= p
-                m = m[rem[m] % p == 0]
+    singular = np.count_nonzero(np.equal.outer(r_term, s_term))  # roots at every p
+    for p in sieve_primes(math.isqrt(top)):
+        if p < 5:
+            continue
+        a, b = r_term % p, s_term % p
+        order = np.argsort(b)
+        keys = b[order]
+        lo = np.searchsorted(keys, a, "left")
+        cnt = np.searchsorted(keys, a, "right") - lo
+        hits = int(cnt.sum())
+        if hits == singular:
+            continue
+        # the cells (i, order[lo[i] + t]) for t < cnt[i]
+        i = np.repeat(np.arange(nr), cnt)
+        j = order[np.arange(hits) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)]
+        m = row[i * ns + j]
+        m = m[m >= 0]  # singular and filtered-out cells are not members
+        m = m[rem[m] % p == 0]  # exact roots always pass; keeps rem > 0
+        if not len(m):
+            continue
+        exp = np.where(R[m] % p != 0, 1.0, 2.0)
+        logn[m] += exp * math.log(p)
+        while len(m):
+            rem[m] //= p
+            m = m[rem[m] % p == 0]
     return _add_leftover(R, rem, logn)
 
 

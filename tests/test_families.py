@@ -153,18 +153,28 @@ def test_root_sieve_matches_trial_division_bitwise(T):
 
 
 def test_root_sieve_thin_grid_at_T_1e12_matches_scalar_surrogate():
-    # r near 1e4 and s near 1e6: the trial bound passes 2.1e6, where an
-    # unreduced (r mod p)^3 leaves int64.  (9973, 997300) has exponent 2 at
-    # the prime 9973.  The singular (-3 * 57^2, 2 * 57^3) and the non-minimal
-    # (0, 0), (10^4, 0) and (10^4, 10^6) are not kept.
-    rv = np.array([-10007, -9999, -3 * 57**2, 0, 9973, 10000], dtype=np.int64)
-    sv = np.array([-999983, -1, 0, 2 * 57**3, 997300, 999999, 1000000], dtype=np.int64)
+    # r near 1e4 and s near 1e6: the trial bound passes 2.1e6, where the cube
+    # of a residue p - |r| leaves int64.  (-9998, 990930) has Delta = 4 q1 q2
+    # with primes q1, q2 in (2^21 + 9998, bound]: a sieve that misses both
+    # leaves log(q1 q2) to the leftover step, which differs from
+    # log q1 + log q2 in the last bit, so trial division is matched bitwise.
+    # (9973, 997300) has exponent 2 at the prime 9973.  The singular
+    # (-3 * 57^2, 2 * 57^3) and the non-minimal (0, 0), (10^4, 0) and
+    # (10^4, 10^6) are not kept.
+    rv = np.array([-10007, -9999, -9998, -3 * 57**2, 0, 9973, 10000], dtype=np.int64)
+    sv = np.array([-999983, -1, 0, 2 * 57**3, 990930, 997300, 999999, 1000000], dtype=np.int64)
+    q1, q2 = 2302243, 2444881
+    assert 4 * (-9998) ** 3 + 27 * 990930**2 == 4 * q1 * q2 and 2**21 + 9998 < q1 < q2
+    assert factorize(q1) == {q1: 1} and factorize(q2) == {q2: 1}
+    two_logs = 8 * math.log(2) + math.log(q1)
+    assert two_logs + math.log(q2) != 8 * math.log(2) + np.log(float(q1 * q2))
     grid = _product_grid(rv, sv, True, True)
     R, S = grid.cells()
-    assert not grid.keep[2, 3] and not grid.keep[3, 2] and grid.keep.sum() == grid.keep.size - 5
+    assert not grid.keep[3, 3] and not grid.keep[4, 2] and grid.keep.sum() == grid.keep.size - 5
     rem, _ = _strip_2_3(discriminant(R, S))
-    assert math.isqrt(int(rem.max())) ** 3 > 2**63
+    assert math.isqrt(int(rem.max())) > 2719009
     got = _conductor_grid(grid)
+    assert np.array_equal(got.view(np.int64), _conductor_batch(R, discriminant(R, S)).view(np.int64))
     want = [math.log(conductor_surrogate(Curve(r, s))) for r, s in zip(R.tolist(), S.tolist())]
     assert np.allclose(got, want, rtol=1e-14, atol=0)
     exp2, left = _sieve_cases(R, S)

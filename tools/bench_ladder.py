@@ -3,7 +3,7 @@
 Usage, from any directory:
 
     python3 tools/bench_ladder.py --checkout parent=../old --checkout change=. \
-        --runs 3 --out BENCH.json
+        --out BENCH.json
 
 Each --checkout LABEL=PATH names a source tree with src/avgrank in it; with
 none, the tree that holds this script is run under the label "change".
@@ -11,9 +11,10 @@ Every ladder entry runs as a fresh subprocess (python -m avgrank.cli) with
 PYTHONPATH set to that tree's src, in a scratch directory.  Checkouts
 take turns run by run, and which goes first alternates, so a slow spell of
 a noisy machine hits all of them.
-Per entry the record holds the median wall time, every wall time, the
-largest peak RSS (from os.wait4) and a SHA-256 of the output files, so
-equal digests across checkouts show equal bytes.  Only the standard
+Every entry runs RUNS times per checkout.  Per entry the record holds
+the median wall time, every wall time, the largest peak RSS (from
+os.wait4) and a SHA-256 of the output files, so equal digests across
+checkouts show equal bytes.  Only the standard
 library is used, and the script keeps its own memory small: with vfork,
 a child's ru_maxrss also counts the parent's size at exec, so output
 files are hashed in chunks and numpy's version comes from a subprocess.
@@ -36,6 +37,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+RUNS = 3  # runs per ladder entry and checkout; the record keeps their median
 
 # name -> CLI arguments; {out} is the scratch directory of the run
 LADDER = {
@@ -106,21 +108,18 @@ def environment() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", action="append", default=[], metavar="LABEL=PATH")
-    ap.add_argument("--runs", type=int, default=3)
-    ap.add_argument("--only", action="append", default=[], metavar="NAME", help="ladder entry to run")
     ap.add_argument("--out", help="write the JSON record here (default: standard output)")
     args = ap.parse_args(argv)
     checkouts = dict(c.split("=", 1) for c in args.checkout) or {"change": str(HERE.parent)}
     checkouts = {label: Path(p).resolve() for label, p in checkouts.items()}
-    names = args.only or list(LADDER)
     record = {
         "environment": environment(),
-        "runs": args.runs,
+        "runs": RUNS,
         "checkouts": {label: {"commit": git_commit(src), "entries": {}} for label, src in checkouts.items()},
     }
-    for name in names:
+    for name in LADDER:
         samples = {label: [] for label in checkouts}
-        for k in range(args.runs):
+        for k in range(RUNS):
             for label, src in list(checkouts.items())[:: -1 if k % 2 else 1]:
                 samples[label].append(run_once(src, LADDER[name]))
         for label, runs in samples.items():
