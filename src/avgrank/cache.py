@@ -24,7 +24,7 @@ import numpy as np
 
 from .arith import PrimeTable, sieve_primes
 from .curves import discriminant, sigma_p_batch
-from .families import box_grid, fsum_rows, prime_terms
+from .families import _box, box_grid, fsum_rows, prime_terms
 from .weights import h_X
 
 __all__ = [
@@ -83,10 +83,11 @@ def cache_build(T: float, X: float, primes: PrimeTable | None = None) -> ApCache
     if primes is None:
         primes = sieve_primes(int(X))
     ps = primes.in_range(5, X)
-    R, S = box_grid(T)
+    grid = _box(T)
+    R, S = grid.cells()
     traces = np.empty((len(R), len(ps)), dtype=np.int64)
     for j, p in enumerate(ps):
-        traces[:, j] = sigma_p_batch(R, S, p)
+        traces[:, j] = sigma_p_batch(grid.rv[:, None], grid.sv, p)[grid.keep]
     n = len(ps)
     arr = np.column_stack(
         (np.repeat(R, n), np.repeat(S, n), np.tile(np.asarray(ps, dtype=np.int64), len(R)), traces.ravel())

@@ -109,10 +109,13 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 
 def _check_values(args: argparse.Namespace) -> None:
-    """T, X and C0 must be finite numbers and R-max a nonnegative integer.
+    """T, X and C0 must be finite numbers, r, s, N, w and base-index
+    integers (not bool), R-max a nonnegative integer and file options
+    strings; an output file must go into an existing directory.
 
     Runs after the config file is applied, so it sees both sources; json
-    reads NaN and Infinity as floats.
+    reads NaN and Infinity as floats.  A bad value fails before any work
+    and before any file is written.
     """
     for name in ("T", "X", "C0"):
         val = getattr(args, name, None)
@@ -124,9 +127,22 @@ def _check_values(args: argparse.Namespace) -> None:
             ok = False
         if not ok:
             raise ConfigError(f"--{name} must be a finite number, got {val!r}")
+    for name in ("r", "s", "N", "w", "base_index"):
+        val = getattr(args, name, None)
+        if val is not None and type(val) is not int:
+            raise ConfigError(f"--{name.replace('_', '-')} must be an integer, got {val!r}")
     val = getattr(args, "R_max", None)
-    if val is not None and not (isinstance(val, int) and not isinstance(val, bool) and val >= 0):
+    if val is not None and not (type(val) is int and val >= 0):
         raise ConfigError(f"--R-max must be a nonnegative integer, got {val!r}")
+    for name in ("curve_file", "path", "out", "out_csv", "out_json"):
+        val = getattr(args, name, None)
+        if val is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if not isinstance(val, str):
+            raise ConfigError(f"{flag} must be a file path, got {val!r}")
+        if name.startswith("out") and (Path(val).is_dir() or not Path(val).parent.is_dir()):
+            raise ConfigError(f"{flag} {val}: not a file in an existing directory")
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -216,14 +232,14 @@ def cmd_twists(args) -> int:
     C0 = float(args.C0 or 0.0)
     if args.curve_file:
         bases = load_curve_data(args.curve_file)
-        idx = int(args.base_index or 0)
+        idx = args.base_index or 0
         if not 0 <= idx < len(bases):
             raise ConfigError(f"base index {idx} out of range for {args.curve_file}")
         base, N, w = bases[idx]
     else:
         _require(args, "r", "s", "N", "w")
-        base = Curve(int(args.r), int(args.s))
-        N, w = int(args.N), int(args.w)
+        base = Curve(args.r, args.s)
+        N, w = args.N, args.w
         if base.singular:
             raise ConfigError(f"base curve ({base.r}, {base.s}) is singular")
         if w not in (-1, 1):
@@ -473,7 +489,7 @@ def cmd_cache(args) -> int:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", help="JSON config file; explicit flags win")
-    sp.add_argument("--threads", type=int, default=None, help="worker pool size (never affects outputs)")
+    sp.add_argument("--threads", type=int, default=None, help="accepted and has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -537,7 +553,7 @@ def main(argv=None) -> int:
         _apply_config_file(args, parser)
         _check_values(args)
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

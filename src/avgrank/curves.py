@@ -35,10 +35,12 @@ from x^3 + r x = x (x^2 + r).  _class_tables computes the three
 correlations with numpy.fft in O(p log p), rounds them, and raises
 NumericalDriftError if any value was 0.25 or more from its integer
 (certificate: the exact values are integers bounded by 2 sqrt(p) + 1,
-so float64 leaves a wide margin).  sigma_p_batch gathers flat arrays of
-curves from the tables; _trace_rectangle gathers a whole product grid
-rv x sv, with the class the outer product (r^3) x (s^-2) mod p and the
-sign chi(r) x chi(s).
+so float64 leaves a wide margin).  sigma_p_batch is the one gather: it
+takes any two coefficient arrays that broadcast, flat pairs or a product
+grid rv[:, None] x sv.  For r s != 0 (mod p), chi(k) = chi(r^3 s^-2) =
+chi(r), so the row sign folds into the table:
+chi(r s) a_p(k, k) = (chi a_p(., .))(k) * chi(s), one gather and one
+multiply per cell.
 """
 
 from __future__ import annotations
@@ -210,53 +212,30 @@ def _class_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return kk, zs, rz
 
 
-def _twist_class_traces(rm: np.ndarray, sm: np.ndarray, p: int) -> np.ndarray:
-    """chi(r s) a_p(k, k), k = r^3 s^-2, for residue arrays rm, sm that broadcast.
-
-    Exact where r s != 0 (mod p); the caller fills the r = 0 and s = 0 cells.
-    """
-    chi = residue_table(p)
-    r3 = (rm * rm % p) * rm % p
-    out = _class_tables(p)[0][r3 * _powmod(sm, p - 3, p) % p].astype(np.int64)  # s^(p-3) = s^-2
-    out *= chi[rm]
-    out *= chi[sm]
-    return out
-
-
 def sigma_p_batch(r: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
     """sigma_p for many curves at once, gathered from the class tables.
 
-    A row with r s != 0 (mod p) reads chi(r s) a_p(k, k) with
-    k = r^3 s^-2 mod p (see the module docstring); a row with r = 0 or
+    r and s are integer arrays that fit int64 (prime_terms reduces
+    Python-int arrays mod p first) and broadcast: flat pairs, or
+    rv[:, None] and sv for a product grid.  A
+    cell with r s != 0 (mod p) reads chi(k) a_p(k, k) chi(s) with
+    k = r^3 s^-2 mod p (see the module docstring); a cell with r = 0 or
     s = 0 (mod p) reads a_p(0, s) or a_p(r, 0).  Each prime costs the
-    O(p log p) tables once (cached) plus O(N log p) array passes.  The
-    result is exactly sigma_p at every row.
+    O(p log p) tables once (cached) plus O(N log p) array passes, where
+    the cube and inverse run on r and s before they broadcast.  The
+    result is int64 and exactly sigma_p at every cell.
     """
     if p < 5:
         raise ValueError("sigma_p_batch requires p >= 5")
     rm = np.asarray(r, dtype=np.int64) % p
     sm = np.asarray(s, dtype=np.int64) % p
-    _, zs, rz = _class_tables(p)
-    out = _twist_class_traces(rm, sm, p)
-    r0, s0 = rm == 0, sm == 0
-    out[r0] = zs[sm[r0]]
-    out[s0] = rz[rm[s0]]
-    return out
-
-
-def _trace_rectangle(rv: np.ndarray, sv: np.ndarray, p: int) -> np.ndarray:
-    """sigma_p at every cell (rv[i], sv[j]) of a product grid, shape (len(rv), len(sv)).
-
-    The class is the outer product (r^3 mod p) x (s^-2 mod p) and the sign
-    chi(r) x chi(s), so the per-row and per-column work is done once on the
-    vectors; rows with r = 0 read a_p(0, s) and columns with s = 0 read
-    a_p(r, 0).
-    """
-    rm, sm = rv % p, sv % p
-    _, zs, rz = _class_tables(p)
-    out = _twist_class_traces(rm[:, None], sm, p)
-    out[rm == 0] = zs[sm]
-    out[:, sm == 0] = rz[rm][:, None]
+    kk, zs, rz = _class_tables(p)
+    chi = residue_table(p)
+    r3 = (rm * rm % p) * rm % p
+    k = r3 * _powmod(sm, p - 3, p) % p  # s^(p-3) = s^-2; k = 0 where r s = 0
+    out = (kk.astype(np.int64) * chi)[k] * chi[sm]
+    np.copyto(out, zs[sm], where=rm == 0)
+    np.copyto(out, rz[rm], where=sm == 0)
     return out
 
 

@@ -12,14 +12,16 @@ report carries a caveat line saying so.
 
 Box families are held as product grids (BoxGrid): row values rv, column
 values sv and a boolean keep mask over rv x sv for the singularity,
-minimality and weight-support filters.  box_grid and _family_grid give
-the same family as flat row-major arrays.  rank_bound_terms works on the
-grid: per prime it gathers the whole trace rectangle from row and column
-vectors (curves._trace_rectangle), takes each U1 / U2 term cell by cell
-and cuts to the kept cells once at the end.  prime_terms takes the same
-terms for flat arrays (twists, cache).  All aggregation uses math.fsum
-in a fixed order so repeated runs are bit-identical; the scalar U1, U2
-and rank_bound remain as oracles.
+minimality and weight-support filters; box_grid gives the same family
+as flat row-major arrays.  prime_terms is the one per-prime term route.
+Its coefficient arrays broadcast like those of curves.sigma_p_batch, the
+one trace gather: flat pairs for the twists and the cache sweep, and
+rv[:, None], sv for a grid, where rank_bound_terms takes each U1 / U2
+term on the whole rectangle and cuts to the kept cells once at the end.
+The gather folds the row sign into its table (chi(k) = chi(r) for
+k = r^3 s^-2), so a grid cell costs one gather and one multiply.  All
+aggregation uses math.fsum in a fixed order so repeated runs are
+bit-identical; the scalar U1, U2 and rank_bound remain as oracles.
 
 The conductor surrogate of a grid comes from a root sieve (the line
 sieve of C. Pomerance, "The quadratic sieve factoring algorithm",
@@ -42,7 +44,6 @@ import numpy as np
 from .arith import PrimeTable, sieve_primes
 from .curves import (
     Curve,
-    _trace_rectangle,
     ap,
     c_pk,
     conductor_surrogate,
@@ -207,12 +208,6 @@ def _weighted_grid(params: FamilyParams) -> tuple[BoxGrid, np.ndarray]:
     return grid, np.multiply.outer(wr[rin], ws[sin])[grid.keep]
 
 
-def _family_grid(params: FamilyParams):
-    """(R, S, W) flat arrays for the curves inside the weight support."""
-    grid, W = _weighted_grid(params)
-    return (*grid.cells(), W)
-
-
 def S_T(params: FamilyParams) -> float:
     """Weighted count sum_{E in C} w_T(E)."""
     return math.fsum(_weighted_grid(params)[1].tolist())
@@ -257,10 +252,23 @@ def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: PrimeTable | Non
     )
 
 
-def _terms(traces, delta, X: float, primes: PrimeTable):
-    """(p, t1, t2) per prime from a trace callback p -> sigma_p array (see prime_terms)."""
+def prime_terms(
+    R: np.ndarray, S: np.ndarray, delta: np.ndarray, X: float, primes: PrimeTable
+) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """Per-prime explicit-formula terms of a family, in increasing p.
+
+    Yields (p, t1, t2) for each prime 5 <= p <= X: t1 = -(log p / p)
+    h_X(log p) a_p is the U1 term and t2 = c_{p^2} (2 log p) h_X(2 log p)
+    the U2 term, None once p^2 > X.  delta is the discriminant of each
+    (minimal) model and decides the bad primes of c_{p^2}.  R, S and delta
+    broadcast like the arguments of sigma_p_batch: flat arrays, or
+    rv[:, None], sv and their discriminant for a grid.  They may be int64
+    or Python-int (dtype=object) arrays; R and S are reduced mod p before
+    the batch engine.  Each element equals the term that U1 / U2 sum for
+    that curve, bit for bit.
+    """
     for p in primes.in_range(5, X):
-        sig = traces(p)
+        sig = sigma_p_batch(R % p, S % p, p)
         lp = math.log(p)
         t1 = -(lp / p) * h_X(lp, X) * sig
         t2 = None
@@ -271,23 +279,6 @@ def _terms(traces, delta, X: float, primes: PrimeTable):
         yield p, t1, t2
 
 
-def prime_terms(
-    R: np.ndarray, S: np.ndarray, delta: np.ndarray, X: float, primes: PrimeTable
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
-    """Per-prime explicit-formula terms of a family, in increasing p.
-
-    Yields (p, t1, t2) for each prime 5 <= p <= X: t1 = -(log p / p)
-    h_X(log p) a_p is the U1 term and t2 = c_{p^2} (2 log p) h_X(2 log p)
-    the U2 term, None once p^2 > X.  delta is the discriminant of each
-    (minimal) model and decides the bad primes of c_{p^2}.  R, S and delta
-    may be int64 or Python-int (dtype=object) arrays; R and S are reduced
-    mod p before the batch engine.  Each element equals the term that
-    U1 / U2 sum for that curve, bit for bit.  Grids take the same terms
-    cell by cell in rank_bound_terms.
-    """
-    return _terms(lambda p: sigma_p_batch(R % p, S % p, p), delta, X, primes)
-
-
 def rank_bound_terms(
     grid: BoxGrid, X: float, primes: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,11 +287,10 @@ def rank_bound_terms(
     The prime sums accumulate in increasing p, one rectangle update per
     prime, and are cut to the kept cells once at the end.
     """
-    rv, sv = grid.rv, grid.sv
+    rv, sv = grid.rv[:, None], grid.sv
     u1 = np.zeros(grid.keep.shape)
     u2 = np.zeros(grid.keep.shape)
-    rect_delta = discriminant(rv[:, None], sv)
-    for _, t1, t2 in _terms(lambda p: _trace_rectangle(rv, sv, p), rect_delta, X, primes):
+    for _, t1, t2 in prime_terms(rv, sv, discriminant(rv, sv), X, primes):
         u1 += t1
         if t2 is not None:
             u2 += t2
@@ -482,9 +472,9 @@ def lemma2_lhs(params: FamilyParams, P: float, primes: PrimeTable) -> float:
     """
     if P < 5:
         raise ValueError("lemma2_lhs requires P >= 5")
-    R, S, W = _family_grid(params)
+    grid, W = _weighted_grid(params)
     total = []
     for p in primes.in_range(P + 1, 2 * P):
-        sig = sigma_p_batch(R, S, p)
+        sig = sigma_p_batch(grid.rv[:, None], grid.sv, p)[grid.keep]
         total.append(abs(math.fsum((W * sig).tolist())))
     return math.fsum(total)

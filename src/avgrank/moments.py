@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .arith import PrimeTable, sieve_primes
-from .curves import Curve, _trace_rectangle, sigma_p
+from .curves import Curve, sigma_p, sigma_p_batch
 from .families import _box, rank_bound_terms
 from .weights import h_X
 
@@ -59,7 +59,7 @@ def V_family(T: float, X: float, primes: PrimeTable) -> np.ndarray:
     grid = _box(T, minimal_only=False)
     out = np.zeros(grid.keep.shape)
     for p in primes.in_range(101, X):
-        out += (math.log(p) / p) * h_X(math.log(p), X) * _trace_rectangle(grid.rv, grid.sv, p)
+        out += (math.log(p) / p) * h_X(math.log(p), X) * sigma_p_batch(grid.rv[:, None], grid.sv, p)
     return out[grid.keep]
 
 

@@ -16,7 +16,6 @@ import pytest
 
 import avgrank as a
 from avgrank.cli import main as cli_main
-from avgrank.families import _family_grid
 from avgrank.moments import V_family, moment_2k, type1_S
 from avgrank.oracles import (
     floor_inequality,

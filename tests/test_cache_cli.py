@@ -444,6 +444,14 @@ def test_cli_bad_value_flag_exits_2_before_writing(tmp_path, capsys, cmd, flags,
         ("density", '{"R-max": -1}', "--R-max must be a nonnegative integer"),
         ("density", '{"R_max": 2.5}', "--R-max must be a nonnegative integer"),
         ("average-rank", '{"C0": "x"}', "--C0 must be a finite number"),
+        ("twists", '{"r": "abc"}', "--r must be an integer"),
+        ("twists", '{"r": 1.5}', "--r must be an integer"),
+        ("twists", '{"s": "1"}', "--s must be an integer"),
+        ("twists", '{"N": 49.0}', "--N must be an integer"),
+        ("twists", '{"w": true}', "--w must be an integer"),
+        # rejected before the curve file is read, so it need not exist
+        ("twists", '{"curve-file": "curves.txt", "base-index": "x"}', "--base-index must be an integer"),
+        ("average-rank", '{"out-csv": 5}', "--out-csv must be a file path"),
     ],
 )
 def test_cli_bad_value_in_config_exits_2_before_writing(tmp_path, capsys, cmd, config, match):
@@ -463,3 +471,35 @@ def test_cli_bad_value_in_config_exits_2_before_writing(tmp_path, capsys, cmd, c
     assert rc == 2
     assert match in _one_error_line(capsys)
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["twists", "--curve-file", "{d}/missing.txt"], "No such file or directory"),
+        (["twists", "--curve-file", "{d}"], "Is a directory"),
+    ],
+)
+def test_cli_unreadable_curve_file_exits_2(tmp_path, capsys, argv, match):
+    out = [str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json")]
+    argv = [a.format(d=tmp_path) for a in argv] + ["--T", "500", "--X", "30", "--out-csv", *out]
+    rc = run_cli(argv)
+    assert rc == 2
+    assert match in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_cache_build_into_missing_directory_exits_2(tmp_path, capsys):
+    rc = run_cli(["cache", "build", "--T", "30", "--X", "20", "--out", str(tmp_path / "no" / "c.apcache")])
+    assert rc == 2
+    assert "not a file in an existing directory" in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_density_out_json_into_missing_directory_exits_2_before_writing(tmp_path, capsys):
+    argv = _argv("density", tmp_path)
+    argv[argv.index("--out-json") + 1] = str(tmp_path / "no" / "d.json")
+    rc = run_cli(argv)
+    assert rc == 2
+    assert "--out-json" in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []  # the CSV is not written either

@@ -9,7 +9,6 @@ from avgrank.arith import sieve_primes
 from avgrank.curves import (
     Curve,
     _class_tables,
-    _trace_rectangle,
     NumericalDriftError,
     TraceData,
     ap,
@@ -151,8 +150,11 @@ def grid_vectors(draw):
 @example((11, np.array([22, -1, 0]), np.array([-11, 10**15, 4, 0])))
 def test_trace_rectangle_matches_scalar_oracles(case):
     p, rv, sv = case
-    rect = _trace_rectangle(rv, sv, p)
+    rect = sigma_p_batch(rv[:, None], sv, p)
     assert rect.shape == (len(rv), len(sv)) and rect.dtype == np.int64
+    # the flat call on the same cells, row-major, reshapes to the rectangle
+    flat = sigma_p_batch(np.repeat(rv, len(sv)), np.tile(sv, len(rv)), p)
+    assert flat.dtype == np.int64 and np.array_equal(flat.reshape(rect.shape), rect)
     for i, r in enumerate(rv.tolist()):
         for j, s in enumerate(sv.tolist()):
             assert rect[i, j] == sigma_p(r, s, p) == sigma_p_charsum(r, s, p), (r, s, p)

@@ -14,7 +14,6 @@ from avgrank.families import (
     _box,
     _conductor_batch,
     _conductor_grid,
-    _family_grid,
     _product_grid,
     _strip_2_3,
     _weighted_grid,
@@ -87,7 +86,8 @@ def test_family_grid_is_box_grid_on_weight_support():
     # the support of even_bump is |x| >= 1/2; T = 2e4 keeps (+-16, +-128),
     # which p = 2 makes non-minimal, inside it
     params = FamilyParams(T=2.0e4)
-    R, S, W = _family_grid(params)
+    grid, W = _weighted_grid(params)
+    R, S = grid.cells()
     expect = [(c, weight_wT(c, params)) for c in enumerate_C(params.T)]
     expect = [(c, w) for c, w in expect if w > 0]
     assert list(zip(R.tolist(), S.tolist())) == [(c.r, c.s) for c, _ in expect]
@@ -96,7 +96,8 @@ def test_family_grid_is_box_grid_on_weight_support():
 
 def test_family_grid_respects_filters():
     params = FamilyParams(T=5000.0)
-    R, S, W = _family_grid(params)
+    grid, W = _weighted_grid(params)
+    R, S = grid.cells()
     assert (4 * R**3 + 27 * S**2 != 0).all()
     assert (W > 0).all()
     for i in range(len(R)):
@@ -122,10 +123,16 @@ def test_prime_terms_int64_and_object_arrays_agree():
     slow = list(prime_terms(Ro, So, discriminant(R.astype(object), S.astype(object)), X, primes))
     assert [p for p, _, _ in fast] == primes.in_range(5, X)
     assert [p for p, _, _ in slow] == primes.in_range(5, X)
-    for (_, a1, a2), (_, b1, b2) in zip(fast, slow):
+    # the grid form: rv[:, None], sv and its discriminant, cut by keep
+    grid = _box(2.0e4)
+    rv, sv = grid.rv[:, None], grid.sv
+    rect = list(prime_terms(rv, sv, discriminant(rv, sv), X, primes))
+    assert [p for p, _, _ in rect] == primes.in_range(5, X)
+    for (_, a1, a2), (_, b1, b2), (_, c1, c2) in zip(fast, slow, rect):
         assert np.array_equal(a1, b1)
-        assert (a2 is None) == (b2 is None)
-        assert a2 is None or np.array_equal(a2, b2)
+        assert np.array_equal(a1, c1[grid.keep])
+        assert (a2 is None) == (b2 is None) == (c2 is None)
+        assert a2 is None or (np.array_equal(a2, b2) and np.array_equal(a2, c2[grid.keep]))
     assert sum(t2 is not None for _, _, t2 in fast) == len(primes.in_range(5, math.sqrt(X)))
 
 
@@ -253,7 +260,8 @@ def test_lemma2_lhs_small():
     val = lemma2_lhs(params, 10.0, primes)
     assert val >= 0
     # direct recomputation
-    R, S, W = _family_grid(params)
+    grid, W = _weighted_grid(params)
+    R, S = grid.cells()
     total = 0.0
     for p in [11, 13, 17, 19]:
         inner = math.fsum(

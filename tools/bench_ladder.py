@@ -44,6 +44,7 @@ LADDER = {
     "average-rank 1e5 316": "average-rank --T 1e5 --X 316 --out-csv {out}/rows.csv --out-json {out}/summary.json",
     "average-rank 1e6 1000": "average-rank --T 1e6 --X 1000 --out-csv {out}/rows.csv --out-json {out}/summary.json",
     "average-rank 1e7 1000": "average-rank --T 1e7 --X 1000 --out-csv {out}/rows.csv --out-json {out}/summary.json",
+    "density 1e4 100": "density --T 1e4 --X 100 --out-csv {out}/density.csv --out-json {out}/density.json",
     "density 1e5 300": "density --T 1e5 --X 300 --out-csv {out}/density.csv --out-json {out}/density.json",
     "twists 2e4 300": (
         "twists --r 1 --s 1 --N 49 --w 1 --T 2e4 --X 300 "
