@@ -61,8 +61,12 @@ def load_curve_data(path: str | Path) -> list[tuple[Curve, int, int]]:
     conductor, w the known root number (+-1).  Malformed records raise
     ConfigError naming the offending line.
     """
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason})") from exc
     out = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -96,7 +100,7 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         return
     try:
         data = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {args.config} must hold a JSON object")

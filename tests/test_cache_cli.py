@@ -478,28 +478,25 @@ def test_cli_bad_value_in_config_exits_2_before_writing(tmp_path, capsys, cmd, c
     [
         (["twists", "--curve-file", "{d}/missing.txt"], "No such file or directory"),
         (["twists", "--curve-file", "{d}"], "Is a directory"),
+        (["twists", "--curve-file", "{d}/bin.txt"], "not a text file"),
+        (["twists", "--r", "1", "--s", "1", "--N", "49", "--w", "1", "--config", "{d}/bin.txt"], "cannot read config"),
     ],
 )
-def test_cli_unreadable_curve_file_exits_2(tmp_path, capsys, argv, match):
+def test_cli_unreadable_input_file_exits_2(tmp_path, capsys, argv, match):
+    (tmp_path / "bin.txt").write_bytes(b"\xff\xfe1 1 49 1\n")
     out = [str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json")]
     argv = [a.format(d=tmp_path) for a in argv] + ["--T", "500", "--X", "30", "--out-csv", *out]
     rc = run_cli(argv)
     assert rc == 2
     assert match in _one_error_line(capsys)
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["bin.txt"]
 
 
-def test_cli_cache_build_into_missing_directory_exits_2(tmp_path, capsys):
-    rc = run_cli(["cache", "build", "--T", "30", "--X", "20", "--out", str(tmp_path / "no" / "c.apcache")])
-    assert rc == 2
-    assert "not a file in an existing directory" in _one_error_line(capsys)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_cli_density_out_json_into_missing_directory_exits_2_before_writing(tmp_path, capsys):
-    argv = _argv("density", tmp_path)
-    argv[argv.index("--out-json") + 1] = str(tmp_path / "no" / "d.json")
+@pytest.mark.parametrize("cmd, flag", [("cache build", "--out"), ("density", "--out-json")])
+def test_cli_output_into_missing_directory_exits_2_before_writing(tmp_path, capsys, cmd, flag):
+    argv = _argv(cmd, tmp_path)
+    argv[argv.index(flag) + 1] = str(tmp_path / "no" / "out")
     rc = run_cli(argv)
     assert rc == 2
-    assert "--out-json" in _one_error_line(capsys)
-    assert list(tmp_path.iterdir()) == []  # the CSV is not written either
+    assert f"{flag} {tmp_path}" in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []  # density's CSV is not written either
