@@ -72,6 +72,7 @@ from .oracles import (
 )
 from .twists import (
     IdentityViolatedError,
+    TwistBatch,
     TwistFamily,
     TwistReport,
     class_decompose,
@@ -82,6 +83,7 @@ from .twists import (
     sieve_indicator_X,
     theorem4_proportions,
     twist_average_experiment,
+    twist_batch,
     twist_curve,
     twisted_pnt_sum,
 )

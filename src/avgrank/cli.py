@@ -249,17 +249,18 @@ def cmd_twists(args) -> int:
         if w not in (-1, 1):
             raise ConfigError("base root number must be +-1")
     T, X = float(args.T), float(args.X)
-    weight = weights.bump(0.5, 1.0)
-    neg_weight = weights.bump(-1.0, -0.5)
-    reports = {}
+    # one prime table for all four experiments; out of range, the first
+    # experiment rejects X before anything is sieved
+    primes = sieve_primes(int(X)) if 1 < X <= T * T else None
+    reports = {1: [], -1: []}
+    unsigned = []
     try:
-        for sign in (1, -1):
-            reports[sign] = tuple(
-                twists.twist_average_experiment(
-                    twists.TwistFamily(base=base, N=N, w=w, sign=sign, weight=wgt), T, X, C0
-                )
-                for wgt in (weight, neg_weight)
-            )
+        for wgt in (weights.bump(0.5, 1.0), weights.bump(-1.0, -0.5)):
+            batch = twists.twist_batch(N, wgt, T)
+            unsigned.append(batch.weights)
+            for sign, pair in reports.items():
+                fam = twists.TwistFamily(base=base, N=N, w=w, sign=sign, weight=wgt)
+                pair.append(twists.twist_average_experiment(fam, T, X, C0, primes, batch))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     with open(args.out_csv, "w", newline="\n") as fh:
@@ -267,33 +268,23 @@ def cmd_twists(args) -> int:
         rows = []
         for sign, pair in reports.items():
             for rep in pair:
-                for i in range(len(rep.D)):
-                    rows.append(
-                        (
-                            int(rep.D[i]),
-                            sign,
-                            float(rep.weight[i]),
-                            float(rep.logN_term[i]),
-                            float(rep.U1_raw[i]),
-                            float(rep.U2_raw[i]),
-                            float(rep.bound[i]),
-                        )
-                    )
+                cols = (rep.weight, rep.logN_term, rep.U1_raw, rep.U2_raw, rep.bound)
+                rows.extend(
+                    (D, sign, *vals)
+                    for D, *vals in zip(rep.D.tolist(), *(c.tolist() for c in cols))
+                )
         rows.sort()
         for D, sign, wv, lt, u1, u2, b in rows:
             fh.write(
                 f"{D},{sign},{_fmt(wv)},{_fmt(lt)},{_fmt(u1)},{_fmt(u2)},{_fmt(b)}\n"
             )
     # partition check: the two signed weight totals must exhaust the
-    # unsigned total over all admissible discriminants
+    # unsigned total over all admissible discriminants, summed left to
+    # right in increasing D, positive support first
     unsigned_total = 0.0
-    for wgt in (weight, neg_weight):
-        for D in twists.fundamental_discriminants(
-            wgt.support[0] * T, wgt.support[1] * T
-        ):
-            if math.gcd(D, N) != 1:
-                continue
-            unsigned_total += float(wgt(D / T))
+    for batch_weights in unsigned:
+        for wv in batch_weights.tolist():
+            unsigned_total += wv
     W_plus = math.fsum(r.W_total for r in reports[1])
     W_minus = math.fsum(r.W_total for r in reports[-1])
     avg_plus = math.fsum(

@@ -2,14 +2,20 @@
 
 Root numbers propagate from the base curve by w_D = w * sign(D) * chi_D(N);
 the twist set splits by (k, delta, e): sign of D, 2-adic valuation, and the
-residue mod 8 of the odd squarefree part.  The average-rank experiment
-walks the fundamental discriminants selected by a smooth weight and
-reduces each twisted curve to its minimal model.  The prime sums of all
-minimal twists then come from families.prime_terms, the batch route of
-the box family, on Python-int arrays; each curve's U1 and U2 are the
-math.fsum of its row of terms, exactly as the scalar U1 / U2 sum them.
-The traces are those of the minimal models, not chi_D(p) a_p(E): the two
-differ when p | D and star_map divides p out of the twist.
+residue mod 8 of the odd squarefree part.  twist_batch takes the
+fundamental discriminants of one weight support as one int64 array and
+computes their weights, root-number signs and class triples in array
+passes; the average-rank experiment selects one root-number class from
+it and reduces every twist to its minimal model on arrays, with d and the
+conductor surrogate read off the factorisation of the base discriminant
+and the residues of D.  The prime sums of all minimal twists then come
+from families.prime_terms, the batch route of the box family, on
+Python-int arrays; each curve's U1 and U2 are the math.fsum of its row
+of terms, exactly as the scalar U1 / U2 sum them.  The traces are those
+of the minimal models, not chi_D(p) a_p(E): the two differ when p | D and
+star_map divides p out of the twist.  The scalar root_number,
+class_decompose, star_map and conductor_surrogate are the oracles of
+these array steps.
 
 poisson_twist_check verifies the Poisson / Gauss-sum dual-sum identity
 used to average character sums over twists, by computing both sides
@@ -35,17 +41,19 @@ from .arith import (
     sieve_primes,
     squarefree_kernel,
 )
-from .curves import Curve, conductor_surrogate, sigma_p, star_map
+from .curves import Curve, _valuation, discriminant, sigma_p
 from .families import fsum_rows, prime_terms
 from .weights import QuadratureError, SmoothWeight, fourier_numeric
 
 __all__ = [
     "TwistFamily",
     "TwistReport",
+    "TwistBatch",
     "IdentityViolatedError",
     "twist_curve",
     "root_number",
     "fundamental_discriminants",
+    "twist_batch",
     "enumerate_T_pm",
     "class_decompose",
     "sieve_indicator_X",
@@ -101,34 +109,168 @@ def root_number(w: int, D: int, N: int) -> int:
 
 def fundamental_discriminants(lo: int, hi: int) -> Iterator[int]:
     """Fundamental discriminants D with lo <= D <= hi, ascending."""
+    yield from _fundamental_array(lo, hi).tolist()
+
+
+def _fundamental_array(lo: float, hi: float) -> np.ndarray:
+    """The fundamental discriminants in [lo, hi] as one ascending int64 array.
+
+    D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree; both
+    squarefree tests are slice sieves by p^2, over [lo, hi] and over the
+    range of m, with one prime table.
+    """
     lo, hi = int(math.ceil(lo)), int(math.floor(hi))
     if hi < lo:
-        return
-    vals = np.arange(lo, hi + 1)
-    sf = np.ones(len(vals), dtype=bool)  # squarefree flags for vals
-    top = max(abs(lo), abs(hi), 1)
-    for p in sieve_primes(math.isqrt(top)):
+        return np.array([], dtype=np.int64)
+    ps = sieve_primes(math.isqrt(max(abs(lo), abs(hi), 1))).primes
+    vals = np.arange(lo, hi + 1, dtype=np.int64)
+    keep = (vals % 4 == 1) & _squarefree_flags(lo, hi, ps)
+    mlo, mhi = -(-lo // 4), hi // 4
+    if mlo <= mhi:
+        m = np.arange(mlo, mhi + 1, dtype=np.int64)
+        m = m[(m % 4 >= 2) & _squarefree_flags(mlo, mhi, ps)]
+        keep[4 * m - lo] = True
+    return vals[keep]
+
+
+def _squarefree_flags(lo: int, hi: int, ps: tuple[int, ...]) -> np.ndarray:
+    """Squarefree flags of lo..hi (0 -> False); ps holds every p with p^2 <= max |n|."""
+    sf = np.ones(hi - lo + 1, dtype=bool)
+    for p in ps:
         p2 = p * p
         sf[(-lo) % p2 :: p2] = False
-    keep = (vals != 0) & (vals % 4 == 1) & sf
-    # D = 4m with m squarefree, m = 2 or 3 mod 4: test m via sf at index 4m
-    mult4 = (vals != 0) & (vals % 4 == 0)
-    m = vals // 4
-    in_range = (m * 4 >= lo) & (m * 4 <= hi)
-    keep |= mult4 & in_range & np.isin(m % 4, (2, 3)) & _squarefree_mask(m)
-    for D in vals[keep]:
-        yield int(D)
+    if lo <= 0 <= hi:
+        sf[-lo] = False
+    return sf
 
 
-def _squarefree_mask(vals: np.ndarray) -> np.ndarray:
-    """Boolean squarefree flags for an arbitrary integer array (0 -> False)."""
-    out = vals != 0
-    if not out.any():
-        return out
-    top = int(np.abs(vals).max())
-    for p in sieve_primes(math.isqrt(top)):
-        out &= vals % (p * p) != 0
-    return out
+@dataclass(frozen=True)
+class TwistBatch:
+    """The fundamental discriminants of one weight support coprime to N.
+
+    Arrays over D ascending: the weights w(D / T), zeros included; the
+    twist sign sign(D) chi_D(N), so that w_D = w * twist_sign; and the
+    class triple (k, delta, e) of class_decompose.  A batch serves both
+    root-number classes and any class filter of its (N, weight, T).
+    """
+
+    N: int
+    weight: SmoothWeight
+    T: float
+    D: np.ndarray
+    weights: np.ndarray
+    twist_sign: np.ndarray
+    k: np.ndarray
+    delta: np.ndarray
+    e: np.ndarray
+
+    def select(self, family: TwistFamily, T: float) -> np.ndarray:
+        """Mask of the rows enumerate_T_pm(family, T) emits."""
+        if (family.N, family.weight, T) != (self.N, self.weight, self.T):
+            raise ValueError("twist batch was built for another N, weight or T")
+        keep = (self.weights != 0.0) & (family.w * self.twist_sign == family.sign)
+        if family.class_triple is not None:
+            k, delta, e = family.class_triple
+            keep &= (self.k == k) & (self.delta == delta) & (self.e == e)
+        return keep
+
+
+def twist_batch(N: int, weight: SmoothWeight, T: float) -> TwistBatch:
+    """One array pass over the fundamental D in T * weight.support with gcd(D, N) = 1.
+
+    chi_D is a character mod |D|, so chi_D(N) = chi_D(n) and
+    gcd(D, N) = gcd(|D|, n) for the n = N mod |D| in [1, |D|].  After that
+    one reduction, taken in Python ints so that N may exceed int64, every
+    step runs on int64 arrays bounded by |D|.
+    """
+    if T < 1:
+        raise ValueError("twist_batch requires T >= 1")
+    lo, hi = weight.support
+    D = _fundamental_array(lo * T, hi * T)
+    absD = np.abs(D)
+    n = ((N - 1) % absD.astype(object)).astype(np.int64) + 1
+    keep = np.gcd(absD, n) == 1
+    D, absD, n = D[keep], absD[keep], n[keep]
+    e = _two_adic(D)
+    delta = np.sign(D)
+    return TwistBatch(
+        N=N, weight=weight, T=T, D=D,
+        weights=np.asarray(weight(D / T), dtype=np.float64),
+        twist_sign=delta * _kronecker_array(D, n),
+        k=(absD >> e) % 8, delta=delta, e=e,
+    )
+
+
+def _two_adic(D: np.ndarray) -> np.ndarray:
+    """The 2-adic valuation e in {0, 2, 3} of each fundamental discriminant."""
+    return np.where(D % 4 == 0, np.where(D % 8 == 0, 3, 2), 0)
+
+
+def _kronecker_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker symbol (a / b) elementwise, for int64 arrays with b > 0.
+
+    The reciprocity algorithm of kronecker (Cohen, Alg. 1.4.10), one
+    array pass per step; every value stays within max(|a|, b).
+    """
+    k = np.ones(len(a), dtype=np.int64)
+    a, b = a.copy(), b.copy()
+    sign_2 = (a % 8 == 3) | (a % 8 == 5)  # (a / 2) = -1
+    while (m := b % 2 == 0).any():
+        k[m & sign_2] *= -1
+        b[m] //= 2
+    a %= b
+    while (live := a != 0).any():
+        while (m := live & (a % 2 == 0)).any():
+            k[m & ((b % 8 == 3) | (b % 8 == 5))] *= -1
+            a[m] //= 2
+        k[live & (a % 4 == 3) & (b % 4 == 3)] *= -1
+        a[live], b[live] = b[live] % a[live], a[live]
+    return np.where(b == 1, k, 0)
+
+
+def _minimal_twists(
+    base: Curve, D: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(R, S, Delta, log N) of the minimal twists of base by the fundamental D.
+
+    R, S and Delta are Python-int arrays equal to star_map of (r D^2, s D^3)
+    and its discriminant D^6 Delta_E / d^12.  The scale d has only primes
+    of Delta_E: an odd p | d needs p^2 | r and p^3 | s (or r = 0, s = 0),
+    and 2 | d for every even D.  So d, and the primes of Delta, come from
+    the factorisation of Delta_E and the residues of D.  log N is the
+    log of the integer conductor_surrogate returns with the prime hints of
+    D and Delta_E: 2^8, 3^5 when 3 | Delta, and p^{f_p} for p >= 5, where
+    a prime of D outside Delta_E always gives p^2 (p^6 || Delta and p | R).
+    """
+    if base.singular:
+        raise ValueError(f"base curve ({base.r}, {base.s}) is singular")
+    r, s = base.r, base.s
+    base_primes = sorted(factorize(abs(base.delta)))
+    absD, e2 = np.abs(D), _two_adic(D)
+    d = np.ones(len(D), dtype=np.int64)
+    for p in base_primes:
+        if p > 2 and not ((r == 0 or r % p**2 == 0) and (s == 0 or s % p**3 == 0)):
+            continue
+        vD = e2 if p == 2 else (D % p == 0).astype(np.int64)
+        ex = [(_valuation(c, p) + j * vD) // (2 * j) for c, j in ((r, 2), (s, 3)) if c]
+        d *= p ** np.minimum.reduce(ex)
+    Do, do = D.astype(object), d.astype(object)
+    R = r * Do**2 // do**4
+    S = s * Do**3 // do**6
+    disc = discriminant(R, S)
+    m = absD >> e2  # odd part of |D|; below, without 3 and the primes of Delta_E
+    top = int(absD.max(initial=1))
+    for p in sorted({3, *base_primes}):
+        if 2 < p <= top:
+            m = np.where(m % p == 0, m // p, m)
+    three = (disc % 3 == 0).astype(bool)
+    cond = (m * m).astype(object) * np.where(three, 2**8 * 3**5, 2**8).astype(object)
+    for p in base_primes:
+        if p >= 5:
+            bad = (disc % p == 0).astype(bool)
+            f = np.where((R[bad] % p == 0).astype(bool), p * p, p)
+            cond[bad] = cond[bad] * f.astype(object)
+    return R, S, disc, np.array([math.log(c) for c in cond.tolist()])
 
 
 def enumerate_T_pm(family: TwistFamily, T: float) -> Iterator[tuple[int, float]]:
@@ -136,22 +278,9 @@ def enumerate_T_pm(family: TwistFamily, T: float) -> Iterator[tuple[int, float]]
 
     Emitted in increasing order of D; zero-weight discriminants are skipped.
     """
-    if T < 1:
-        raise ValueError("enumerate_T_pm requires T >= 1")
-    lo, hi = family.weight.support
-    for D in fundamental_discriminants(lo * T, hi * T):
-        if gcd(D, family.N) != 1:
-            continue
-        wv = float(family.weight(D / T))
-        if wv == 0.0:
-            continue
-        if root_number(family.w, D, family.N) != family.sign:
-            continue
-        if family.class_triple is not None:
-            k, delta, e, _ = class_decompose(D)
-            if (k, delta, e) != family.class_triple:
-                continue
-        yield D, wv
+    batch = twist_batch(family.N, family.weight, T)
+    keep = batch.select(family, T)
+    yield from zip(batch.D[keep].tolist(), batch.weights[keep].tolist())
 
 
 def class_decompose(D: int) -> tuple[int, int, int, int]:
@@ -219,35 +348,25 @@ def twist_average_experiment(
     X: float,
     C0: float = 0.0,
     primes: PrimeTable | None = None,
+    batch: TwistBatch | None = None,
 ) -> TwistReport:
     """Explicit-formula averages over the selected twist class.
 
-    Each twist is reduced to its minimal model before the prime sums are
-    evaluated, all twists at once per prime; the conductor surrogate is
-    fed the known prime divisors of D and of the base discriminant, and
-    the crude N*D^2 bound is reported alongside as a diagnostic.
+    The rows are those of enumerate_T_pm, taken from batch (built here
+    when None; one batch serves both signs of a weight).  The twists are
+    reduced to their minimal models on arrays before the prime sums are
+    evaluated, all twists at once per prime; the conductor surrogate
+    takes the known prime divisors of D and of the base discriminant,
+    and the crude N*D^2 bound is reported alongside as a diagnostic.
     """
     if not 1 < X <= T * T:
         raise ValueError("twist_average_experiment requires 1 < X <= T^2")
     if primes is None:
         primes = sieve_primes(int(X))
-    logX = math.log(X)
-    rows_D, rows_w, minimals, logns = [], [], [], []
-    class_map: dict[tuple[int, int, int], set[int]] = {}
-    base_primes = (
-        tuple(factorize(abs(family.base.delta))) if family.base.delta else ()
-    )
-    for D, wv in enumerate_T_pm(family, T):
-        twisted = twist_curve(family.base, D)
-        minimal, _ = star_map(twisted.r, twisted.s)
-        hints = base_primes + tuple(factorize(abs(D)))
-        logns.append(math.log(conductor_surrogate(minimal, prime_hints=hints)))
-        k, delta, e, _ = class_decompose(D)
-        class_map.setdefault((k, delta, e), set()).add(family.sign)
-        rows_D.append(D)
-        rows_w.append(wv)
-        minimals.append(minimal)
-    if not rows_D:
+    if batch is None:
+        batch = twist_batch(family.N, family.weight, T)
+    keep = batch.select(family, T)
+    if not keep.any():
         return TwistReport(
             T=T, X=X, C0=C0, sign=family.sign, empty=True,
             D=np.array([], dtype=np.int64), weight=np.array([]),
@@ -257,31 +376,28 @@ def twist_average_experiment(
             avg_U2_term=math.nan, avg_bound=math.nan,
             u1_over_logX=math.nan, u2_over_logX=math.nan, u2_deviation=math.nan,
         )
+    D, w = batch.D[keep], batch.weights[keep]
+    logX = math.log(X)
     # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
-    R = np.array([c.r for c in minimals], dtype=object)
-    S = np.array([c.s for c in minimals], dtype=object)
-    disc = np.array([c.delta for c in minimals], dtype=object)
+    R, S, disc, logn = _minimal_twists(family.base, D)
     terms = list(prime_terms(R, S, disc, X, primes))
     u1a = np.asarray(fsum_rows([t1 for _, t1, _ in terms], len(R)))
     u2a = np.asarray(fsum_rows([t2 for _, _, t2 in terms if t2 is not None], len(R)))
-    lt = np.asarray(logns) / logX
+    lt = logn / logX
     bound = lt + (2.0 / logX) * (u1a + u2a) + C0 / logX
-    devs = [
-        abs(u2 - logX / 4.0) / math.log(math.log(max(abs(D), 16)))
-        for D, u2 in zip(rows_D, u2a.tolist())
-    ]
-    nd2_t = [math.log(family.N * D * D) / logX for D in rows_D]
-    w = np.asarray(rows_w)
-    wsum = math.fsum(rows_w)
+    devs = np.abs(u2a - logX / 4.0) / np.log(np.log(np.maximum(np.abs(D), 16)))
+    nd2_t = (math.log(family.N) + 2.0 * np.log(np.abs(D))) / logX
+    wsum = math.fsum(w.tolist())
+    triples = np.unique(np.stack((batch.k, batch.delta, batch.e))[:, keep], axis=1)
 
     def wavg(x):
         return math.fsum((w * x).tolist()) / wsum
 
     return TwistReport(
         T=T, X=X, C0=C0, sign=family.sign, empty=False,
-        D=np.asarray(rows_D, dtype=np.int64), weight=w,
+        D=D, weight=w,
         logN_term=lt, U1_raw=u1a, U2_raw=u2a, bound=bound,
-        logND2_term=np.asarray(nd2_t),
+        logND2_term=nd2_t,
         W_total=wsum,
         avg_logN_term=wavg(lt),
         avg_U1_term=wavg((2.0 / logX) * u1a),
@@ -289,8 +405,8 @@ def twist_average_experiment(
         avg_bound=wavg(bound),
         u1_over_logX=wavg(u1a) / logX,
         u2_over_logX=wavg(u2a) / logX,
-        u2_deviation=max(devs),
-        class_sign_map={k: sorted(v) for k, v in class_map.items()},
+        u2_deviation=float(devs.max()),
+        class_sign_map={tuple(t): [family.sign] for t in triples.T.tolist()},
     )
 
 

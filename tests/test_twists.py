@@ -1,14 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from avgrank.arith import factorize, is_fundamental_discriminant, kronecker, sieve_primes
+from avgrank.cli import main
 from avgrank.curves import Curve, conductor_surrogate, discriminant, sigma_p, star_map
 from avgrank.families import U1, U2
 from avgrank.twists import (
     IdentityViolatedError,
     TwistFamily,
+    _minimal_twists,
     class_decompose,
     enumerate_T_pm,
     fundamental_discriminants,
@@ -17,10 +20,11 @@ from avgrank.twists import (
     sieve_indicator_X,
     theorem4_proportions,
     twist_average_experiment,
+    twist_batch,
     twist_curve,
     twisted_pnt_sum,
 )
-from avgrank.weights import bump
+from avgrank.weights import bump, triangular_weight
 
 
 def test_twist_curve_delta_scaling():
@@ -49,6 +53,18 @@ def test_root_number():
 def test_fundamental_discriminants_matches_predicate():
     got = list(fundamental_discriminants(-500, 500))
     want = [D for D in range(-500, 501) if D != 0 and is_fundamental_discriminant(D)]
+    assert got == want
+
+
+@pytest.mark.parametrize("lo, hi", [(37.5, 811.2), (-811.2, -37.5), (-4, 4), (8, 8), (9, 7)])
+def test_fundamental_discriminants_on_shifted_ranges(lo, hi):
+    # the two slice sieves (over [lo, hi] and over the range of m = D / 4)
+    # against the scalar predicate, on ranges that miss 0 or hold one value
+    got = list(fundamental_discriminants(lo, hi))
+    want = [
+        D for D in range(math.ceil(lo), math.floor(hi) + 1)
+        if D != 0 and is_fundamental_discriminant(D)
+    ]
     assert got == want
 
 
@@ -101,6 +117,92 @@ def test_enumerate_T_pm_sign_filter():
         assert [D for D, _ in rows] == want
 
 
+# 2 and 8 take the 2-adic step of the Kronecker symbol, 360 = 2^3 3^2 5
+# mixes it with odd primes, and 2^89 - 1 is a prime far beyond int64
+@pytest.mark.parametrize("N", [1, 2, 8, 49, 389, 360, 2**89 - 1])
+def test_twist_batch_matches_scalar_oracles(N):
+    T = 1000.0
+    weight = triangular_weight()  # support [-1, 1]: every D in [-T, T]
+    batch = twist_batch(N, weight, T)
+    want = [D for D in fundamental_discriminants(-T, T) if math.gcd(D, N) == 1]
+    assert batch.D.dtype == np.int64 and batch.D.tolist() == want
+    for i, D in enumerate(want):
+        k, delta, e, _ = class_decompose(D)
+        assert (batch.k[i], batch.delta[i], batch.e[i]) == (k, delta, e), D
+        for w in (-1, 1):
+            assert w * batch.twist_sign[i] == root_number(w, D, N), (D, N)
+        assert batch.weights[i] == weight(D / T)
+
+
+@pytest.mark.parametrize("T", [400.0, 4e3, 2e4, 1e5])
+def test_twist_batch_weights_equal_scalar_weight(T):
+    # the bump on the whole array equals the bump at each D, bit for bit
+    for weight in (bump(0.5, 1.0), bump(-1.0, -0.5)):
+        batch = twist_batch(49, weight, T)
+        assert batch.weights.tolist() == [float(weight(D / T)) for D in batch.D.tolist()]
+
+
+# (25, 125) has d = 5 at 5 | D; (16, 64) and (80, 448) are not minimal at 2;
+# at r = 0 or s = 0 star_map takes its one-sided branch and every f_p is 2
+@pytest.mark.parametrize(
+    "r, s", [(25, 125), (16, 64), (80, 448), (0, 1), (-1, 0), (1, 1), (-2, 3)]
+)
+def test_minimal_twists_match_star_map_and_conductor(r, s):
+    base = Curve(r, s)
+    D = np.array(list(fundamental_discriminants(-600, 600)), dtype=np.int64)
+    R, S, disc, logn = _minimal_twists(base, D)
+    base_hints = tuple(factorize(abs(base.delta)))
+    seen_d = set()
+    for i, Di in enumerate(D.tolist()):
+        tw = twist_curve(base, Di)
+        minimal, d = star_map(tw.r, tw.s)
+        seen_d.add(d)
+        assert (R[i], S[i], disc[i]) == (minimal.r, minimal.s, minimal.delta), Di
+        n = conductor_surrogate(minimal, prime_hints=base_hints + tuple(factorize(abs(Di))))
+        assert logn[i] == math.log(n), Di
+        if r == 0 or s == 0:
+            q = n // 2**8 // (3**5 if minimal.delta % 3 == 0 else 1)
+            assert math.isqrt(q) ** 2 == q
+    assert len(seen_d) > 1
+
+
+def test_twist_batch_must_match_the_family():
+    base = Curve(1, 1)
+    fam = TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.2, 1.0))
+    for batch in (
+        twist_batch(37, fam.weight, 150.0),
+        twist_batch(49, bump(0.2, 1.0), 150.0),
+        twist_batch(49, fam.weight, 151.0),
+    ):
+        with pytest.raises(ValueError, match="twist batch"):
+            twist_average_experiment(fam, 150.0, 50.0, batch=batch)
+    rep = twist_average_experiment(fam, 150.0, 50.0, batch=twist_batch(49, fam.weight, 150.0))
+    assert rep.D.tolist() == twist_average_experiment(fam, 150.0, 50.0).D.tolist()
+
+
+@pytest.mark.parametrize("T", [4000.0, 2e4])
+def test_cli_unsigned_weight_equals_scalar_loop(tmp_path, T):
+    # W_unsigned from the batch weights equals the left-to-right scalar sum
+    # over both supports, bit for bit
+    N = 49
+    out = tmp_path / "t.json"
+    rc = main(
+        [
+            "twists", "--r", "1", "--s", "1", "--N", str(N), "--w", "1",
+            "--T", str(T), "--X", "20",
+            "--out-csv", str(tmp_path / "t.csv"), "--out-json", str(out),
+        ]
+    )
+    assert rc == 0
+    total = 0.0
+    for weight in (bump(0.5, 1.0), bump(-1.0, -0.5)):
+        lo, hi = weight.support
+        for D in fundamental_discriminants(lo * T, hi * T):
+            if math.gcd(D, N) == 1:
+                total += float(weight(D / T))
+    assert json.loads(out.read_text())["W_unsigned"] == total
+
+
 def test_twist_family_validation():
     base = Curve(1, 1)
     with pytest.raises(ValueError):
@@ -136,7 +238,9 @@ def test_twist_average_experiment_empty():
     assert math.isnan(rep.avg_bound)
 
 
-@pytest.mark.parametrize("r, s, N", [(25, 125, 1), (1, 1, 49), (-2, 3, 389)])
+@pytest.mark.parametrize(
+    "r, s, N", [(25, 125, 1), (1, 1, 49), (-2, 3, 389), (0, 1, 36), (-1, 0, 32)]
+)
 def test_twist_average_matches_scalar_oracles(r, s, N):
     # the batch route over minimal twists against the scalar U1 / U2 and
     # conductor surrogate; (25, 125) has star_map d = 5 whenever 5 | D, and
