@@ -388,7 +388,8 @@ def twist_average_experiment(
     devs = np.abs(u2a - logX / 4.0) / np.log(np.log(np.maximum(np.abs(D), 16)))
     nd2_t = (math.log(family.N) + 2.0 * np.log(np.abs(D))) / logX
     wsum = math.fsum(w.tolist())
-    triples = np.unique(np.stack((batch.k, batch.delta, batch.e))[:, keep], axis=1)
+    triples = np.stack((batch.k, batch.delta, batch.e))[:, keep]
+    _, first = np.unique(triples[0] * 16 + triples[1] * 4 + triples[2], return_index=True)
 
     def wavg(x):
         return math.fsum((w * x).tolist()) / wsum
@@ -406,7 +407,7 @@ def twist_average_experiment(
         u1_over_logX=wavg(u1a) / logX,
         u2_over_logX=wavg(u2a) / logX,
         u2_deviation=float(devs.max()),
-        class_sign_map={tuple(t): [family.sign] for t in triples.T.tolist()},
+        class_sign_map={tuple(t): [family.sign] for t in triples[:, first].T.tolist()},
     )
 
 
