@@ -249,9 +249,10 @@ def cmd_twists(args) -> int:
         if w not in (-1, 1):
             raise ConfigError("base root number must be +-1")
     T, X = float(args.T), float(args.X)
-    # one prime table for all four experiments; out of range, the first
-    # experiment rejects X before anything is sieved
-    primes = sieve_primes(int(X)) if 1 < X <= T * T else None
+    # checked before anything is sieved; one prime table for all four experiments
+    if not 1 < X <= T * T:
+        raise ConfigError("twists requires 1 < X <= T^2")
+    primes = sieve_primes(int(X))
     reports = {1: [], -1: []}
     unsigned = []
     try:

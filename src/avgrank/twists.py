@@ -212,7 +212,7 @@ def _kronecker_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The reciprocity algorithm of kronecker (Cohen, Alg. 1.4.10), one
     array pass per step; every value stays within max(|a|, b).
     """
-    k = np.ones(len(a), dtype=np.int64)
+    k = np.where((a % 2 == 0) & (b % 2 == 0), 0, 1)
     a, b = a.copy(), b.copy()
     sign_2 = (a % 8 == 3) | (a % 8 == 5)  # (a / 2) = -1
     while (m := b % 2 == 0).any():
@@ -231,32 +231,33 @@ def _kronecker_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _minimal_twists(
     base: Curve, D: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(R, S, Delta, log N) of the minimal twists of base by the fundamental D.
+    """(R, S, Delta, N) of the minimal twists of base by the fundamental D.
 
     R, S and Delta are Python-int arrays equal to star_map of (r D^2, s D^3)
     and its discriminant D^6 Delta_E / d^12.  The scale d has only primes
     of Delta_E: an odd p | d needs p^2 | r and p^3 | s (or r = 0, s = 0),
     and 2 | d for every even D.  So d, and the primes of Delta, come from
-    the factorisation of Delta_E and the residues of D.  log N is the
-    log of the integer conductor_surrogate returns with the prime hints of
-    D and Delta_E: 2^8, 3^5 when 3 | Delta, and p^{f_p} for p >= 5, where
-    a prime of D outside Delta_E always gives p^2 (p^6 || Delta and p | R).
+    the factorisation of Delta_E and the residues of D.  N is the
+    Python-int array of what conductor_surrogate returns with the prime
+    hints of D and Delta_E: 2^8, 3^5 when 3 | Delta, and p^{f_p} for
+    p >= 5, where a prime of D outside Delta_E always gives p^2 (p^6 || Delta
+    and p | R).  d and N stay Python ints: a prime of Delta_E may pass 2^31.5.
     """
     if base.singular:
         raise ValueError(f"base curve ({base.r}, {base.s}) is singular")
     r, s = base.r, base.s
     base_primes = sorted(factorize(abs(base.delta)))
     absD, e2 = np.abs(D), _two_adic(D)
-    d = np.ones(len(D), dtype=np.int64)
+    d = np.ones(len(D), dtype=object)
     for p in base_primes:
         if p > 2 and not ((r == 0 or r % p**2 == 0) and (s == 0 or s % p**3 == 0)):
             continue
         vD = e2 if p == 2 else (D % p == 0).astype(np.int64)
         ex = [(_valuation(c, p) + j * vD) // (2 * j) for c, j in ((r, 2), (s, 3)) if c]
-        d *= p ** np.minimum.reduce(ex)
-    Do, do = D.astype(object), d.astype(object)
-    R = r * Do**2 // do**4
-    S = s * Do**3 // do**6
+        d *= np.power(p, np.minimum.reduce(ex), dtype=object)
+    Do = D.astype(object)
+    R = r * Do**2 // d**4
+    S = s * Do**3 // d**6
     disc = discriminant(R, S)
     m = absD >> e2  # odd part of |D|; below, without 3 and the primes of Delta_E
     top = int(absD.max(initial=1))
@@ -264,13 +265,13 @@ def _minimal_twists(
         if 2 < p <= top:
             m = np.where(m % p == 0, m // p, m)
     three = (disc % 3 == 0).astype(bool)
-    cond = (m * m).astype(object) * np.where(three, 2**8 * 3**5, 2**8).astype(object)
+    cond = m.astype(object) ** 2 * np.where(three, 2**8 * 3**5, 2**8).astype(object)
     for p in base_primes:
         if p >= 5:
             bad = (disc % p == 0).astype(bool)
-            f = np.where((R[bad] % p == 0).astype(bool), p * p, p)
-            cond[bad] = cond[bad] * f.astype(object)
-    return R, S, disc, np.array([math.log(c) for c in cond.tolist()])
+            cond[bad] *= p
+            cond[bad & (R % p == 0).astype(bool)] *= p
+    return R, S, disc, cond
 
 
 def enumerate_T_pm(family: TwistFamily, T: float) -> Iterator[tuple[int, float]]:
@@ -379,11 +380,11 @@ def twist_average_experiment(
     D, w = batch.D[keep], batch.weights[keep]
     logX = math.log(X)
     # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
-    R, S, disc, logn = _minimal_twists(family.base, D)
+    R, S, disc, cond = _minimal_twists(family.base, D)
     terms = list(prime_terms(R, S, disc, X, primes))
     u1a = np.asarray(fsum_rows([t1 for _, t1, _ in terms], len(R)))
     u2a = np.asarray(fsum_rows([t2 for _, _, t2 in terms if t2 is not None], len(R)))
-    lt = logn / logX
+    lt = np.array([math.log(n) for n in cond.tolist()]) / logX
     bound = lt + (2.0 / logX) * (u1a + u2a) + C0 / logX
     devs = np.abs(u2a - logX / 4.0) / np.log(np.log(np.maximum(np.abs(D), 16)))
     nd2_t = (math.log(family.N) + 2.0 * np.log(np.abs(D))) / logX

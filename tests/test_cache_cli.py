@@ -15,6 +15,7 @@ from avgrank.cache import (
     cache_save,
     u1_sweep,
 )
+from avgrank import twists
 from avgrank.cli import load_curve_data, main
 from avgrank.curves import Curve, ap
 from avgrank.arith import sieve_primes
@@ -341,7 +342,12 @@ def _one_error_line(capsys) -> str:
     return err
 
 
-def test_cli_twists_X_above_T_squared_exits_2(tmp_path, capsys):
+def test_cli_twists_X_above_T_squared_exits_2(tmp_path, capsys, monkeypatch):
+    # rejected before the discriminants are sieved
+    def no_batch(*args):
+        raise AssertionError("twist_batch ran before the X check")
+
+    monkeypatch.setattr(twists, "twist_batch", no_batch)
     rc = run_cli(
         [
             "twists", "--r", "1", "--s", "1", "--N", "49", "--w", "1",

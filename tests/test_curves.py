@@ -117,31 +117,6 @@ def test_sigma_p_batch_matches_scalar_oracles(case):
         assert got == sigma_p(r, s, p) == sigma_p_charsum(r, s, p), (r, s, p)
 
 
-@st.composite
-def flat_rows_with_zero_cells(draw):
-    """(p, R, S) flat, with r = 0 and s = 0 (mod p) forced at drawn positions."""
-    p = draw(st.sampled_from(ORACLE_PRIMES))
-    n = draw(st.integers(1, 200))
-    col = st.lists(st.integers(-(10**18), 10**18), min_size=n, max_size=n)
-    R, S = np.array(draw(col), dtype=np.int64), np.array(draw(col), dtype=np.int64)
-    at = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
-    for arr in (R, S):
-        cells = draw(at)
-        arr[cells] = arr[cells] // p * p
-    return p, R, S
-
-
-@settings(max_examples=60, deadline=None)
-@given(flat_rows_with_zero_cells())
-def test_sigma_p_batch_zero_cells_on_flat_arrays(case):
-    # flat arrays whose r = 0 and s = 0 cells read a_p(0, s) and a_p(r, 0)
-    p, R, S = case
-    assert (R % p == 0).any() and (S % p == 0).any()
-    batch = sigma_p_batch(R, S, p)
-    assert batch.dtype == np.int64
-    assert batch.tolist() == [sigma_p(r, s, p) for r, s in zip(R.tolist(), S.tolist())]
-
-
 def test_sigma_p_batch_sparse_classes_and_chunks():
     # p > N: most residues never occur; rows with r = 0 or s = 0 (mod p) mixed in
     p = 10007

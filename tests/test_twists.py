@@ -4,13 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from avgrank.arith import factorize, is_fundamental_discriminant, kronecker, sieve_primes
+from avgrank.arith import (
+    _kronecker_any,
+    factorize,
+    is_fundamental_discriminant,
+    kronecker,
+    sieve_primes,
+)
 from avgrank.cli import main
 from avgrank.curves import Curve, conductor_surrogate, discriminant, sigma_p, star_map
 from avgrank.families import U1, U2
 from avgrank.twists import (
     IdentityViolatedError,
     TwistFamily,
+    _kronecker_array,
     _minimal_twists,
     class_decompose,
     enumerate_T_pm,
@@ -51,21 +58,15 @@ def test_root_number():
 
 
 def test_fundamental_discriminants_matches_predicate():
-    got = list(fundamental_discriminants(-500, 500))
-    want = [D for D in range(-500, 501) if D != 0 and is_fundamental_discriminant(D)]
-    assert got == want
-
-
-@pytest.mark.parametrize("lo, hi", [(37.5, 811.2), (-811.2, -37.5), (-4, 4), (8, 8), (9, 7)])
-def test_fundamental_discriminants_on_shifted_ranges(lo, hi):
-    # the two slice sieves (over [lo, hi] and over the range of m = D / 4)
-    # against the scalar predicate, on ranges that miss 0 or hold one value
-    got = list(fundamental_discriminants(lo, hi))
-    want = [
-        D for D in range(math.ceil(lo), math.floor(hi) + 1)
-        if D != 0 and is_fundamental_discriminant(D)
-    ]
-    assert got == want
+    # the two slice sieves (over [lo, hi] and over the range of m = D / 4),
+    # also on ranges that miss 0 or hold one value
+    for lo, hi in [(-500, 500), (37.5, 811.2), (-811.2, -37.5), (-4, 4), (8, 8), (9, 7)]:
+        got = list(fundamental_discriminants(lo, hi))
+        want = [
+            D for D in range(math.ceil(lo), math.floor(hi) + 1)
+            if D != 0 and is_fundamental_discriminant(D)
+        ]
+        assert got == want, (lo, hi)
 
 
 def test_class_decompose_roundtrip():
@@ -117,6 +118,14 @@ def test_enumerate_T_pm_sign_filter():
         assert [D for D, _ in rows] == want
 
 
+def test_kronecker_array_matches_scalar_on_every_pair():
+    # any a, including gcd(a, b) > 1 and a, b both even, where (a / b) = 0
+    a, b = np.meshgrid(np.arange(-80, 81), np.arange(1, 81))
+    a, b = a.ravel(), b.ravel()
+    got = _kronecker_array(a, b)
+    assert got.tolist() == [_kronecker_any(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
 # 2 and 8 take the 2-adic step of the Kronecker symbol, 360 = 2^3 3^2 5
 # mixes it with odd primes, and 2^89 - 1 is a prime far beyond int64
 @pytest.mark.parametrize("N", [1, 2, 8, 49, 389, 360, 2**89 - 1])
@@ -143,14 +152,17 @@ def test_twist_batch_weights_equal_scalar_weight(T):
 
 
 # (25, 125) has d = 5 at 5 | D; (16, 64) and (80, 448) are not minimal at 2;
-# at r = 0 or s = 0 star_map takes its one-sided branch and every f_p is 2
+# at r = 0 or s = 0 star_map takes its one-sided branch and every f_p is 2;
+# Delta_E of (913, 25) and (1024, 3) is 2^4 times a prime p above 2^31.5,
+# below and above 2^32, so p^2 leaves int64
 @pytest.mark.parametrize(
-    "r, s", [(25, 125), (16, 64), (80, 448), (0, 1), (-1, 0), (1, 1), (-2, 3)]
+    "r, s",
+    [(25, 125), (16, 64), (80, 448), (0, 1), (-1, 0), (1, 1), (-2, 3), (913, 25), (1024, 3)],
 )
 def test_minimal_twists_match_star_map_and_conductor(r, s):
     base = Curve(r, s)
     D = np.array(list(fundamental_discriminants(-600, 600)), dtype=np.int64)
-    R, S, disc, logn = _minimal_twists(base, D)
+    R, S, disc, cond = _minimal_twists(base, D)
     base_hints = tuple(factorize(abs(base.delta)))
     seen_d = set()
     for i, Di in enumerate(D.tolist()):
@@ -159,7 +171,7 @@ def test_minimal_twists_match_star_map_and_conductor(r, s):
         seen_d.add(d)
         assert (R[i], S[i], disc[i]) == (minimal.r, minimal.s, minimal.delta), Di
         n = conductor_surrogate(minimal, prime_hints=base_hints + tuple(factorize(abs(Di))))
-        assert logn[i] == math.log(n), Di
+        assert type(cond[i]) is int and cond[i] == n, Di
         if r == 0 or s == 0:
             q = n // 2**8 // (3**5 if minimal.delta % 3 == 0 else 1)
             assert math.isqrt(q) ** 2 == q
