@@ -10,6 +10,9 @@ Layout (all integers little-endian int64):
 Records are sorted lexicographically by (r, s, p) with no duplicates, and
 every a_p must satisfy the Hasse bound; loading validates all of this and
 raises CorruptCacheError with a specific message otherwise.
+
+The file format needs only numpy; cache_build and u1_sweep import the
+trace engine when they run, so reading or checking a cache loads none of it.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .arith import PrimeTable, sieve_primes
-from .curves import discriminant, sigma_p_batch
-from .families import _box, box_grid, fsum_rows, prime_terms
-from .weights import h_X
+if TYPE_CHECKING:
+    from .arith import PrimeTable
 
 __all__ = [
     "MAGIC",
@@ -80,6 +82,10 @@ class ApCache:
 
 def cache_build(T: float, X: float, primes: PrimeTable | None = None) -> ApCache:
     """Traces of every minimal curve in the box for all 5 <= p <= X."""
+    from .arith import sieve_primes
+    from .curves import sigma_p_batch
+    from .families import _box
+
     if primes is None:
         primes = sieve_primes(int(X))
     ps = primes.in_range(5, X)
@@ -152,6 +158,11 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     (curve, prime) key is looked up and a hit replaces the engine's trace;
     a missing key keeps the engine's value.
     """
+    from .arith import sieve_primes
+    from .curves import discriminant
+    from .families import box_grid, fsum_rows, prime_terms
+    from .weights import h_X
+
     primes = sieve_primes(int(X))
     R, S = box_grid(T)
     keys = list(zip(R.tolist(), S.tolist()))

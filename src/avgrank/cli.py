@@ -6,6 +6,11 @@ configuration every command writes byte-identical output regardless of
 the --threads setting.  Configuration comes from flags plus an optional
 JSON config file, with flags winning; environment variables are never
 consulted.
+
+This module imports only the standard library; each subcommand imports
+the engine modules it runs, so --help and a bad option value return
+before numpy loads.  main sets OPENBLAS_NUM_THREADS=1 unless the user
+has set it, so no idle BLAS pool runs beside the process.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import cache as cache_mod
-from . import families, moments, oracles, twists, weights
-from .arith import sieve_primes
-from .curves import Curve, sigma_p, sigma_p_charsum
+if TYPE_CHECKING:
+    from .curves import Curve
 
 __all__ = ["main", "load_curve_data"]
 
@@ -61,6 +66,8 @@ def load_curve_data(path: str | Path) -> list[tuple[Curve, int, int]]:
     conductor, w the known root number (+-1).  Malformed records raise
     ConfigError naming the offending line.
     """
+    from .curves import Curve
+
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
@@ -161,6 +168,8 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def cmd_average_rank(args) -> int:
     _require(args, "T", "X", "out_csv", "out_json")
+    from . import families
+
     C0 = float(args.C0 or 0.0)
     try:
         params = families.FamilyParams(T=float(args.T))
@@ -206,6 +215,8 @@ def cmd_average_rank(args) -> int:
 
 def cmd_density(args) -> int:
     _require(args, "T", "X", "out_csv", "out_json")
+    from . import moments
+
     C0 = float(args.C0 or 0.0)
     R_max = int(args.R_max if args.R_max is not None else 8)
     try:
@@ -233,6 +244,18 @@ def cmd_density(args) -> int:
 
 def cmd_twists(args) -> int:
     _require(args, "T", "X", "out_csv", "out_json")
+    if not args.curve_file:
+        _require(args, "r", "s", "N", "w")
+        if args.w not in (-1, 1):
+            raise ConfigError("base root number must be +-1")
+    T, X = float(args.T), float(args.X)
+    # checked before numpy loads and before anything is sieved
+    if not 1 < X <= T * T:
+        raise ConfigError("twists requires 1 < X <= T^2")
+    from . import twists, weights
+    from .arith import sieve_primes
+    from .curves import Curve
+
     C0 = float(args.C0 or 0.0)
     if args.curve_file:
         bases = load_curve_data(args.curve_file)
@@ -241,17 +264,11 @@ def cmd_twists(args) -> int:
             raise ConfigError(f"base index {idx} out of range for {args.curve_file}")
         base, N, w = bases[idx]
     else:
-        _require(args, "r", "s", "N", "w")
         base = Curve(args.r, args.s)
         N, w = args.N, args.w
         if base.singular:
             raise ConfigError(f"base curve ({base.r}, {base.s}) is singular")
-        if w not in (-1, 1):
-            raise ConfigError("base root number must be +-1")
-    T, X = float(args.T), float(args.X)
-    # checked before anything is sieved; one prime table for all four experiments
-    if not 1 < X <= T * T:
-        raise ConfigError("twists requires 1 < X <= T^2")
+    # one prime table for all four experiments
     primes = sieve_primes(int(X))
     reports = {1: [], -1: []}
     unsigned = []
@@ -333,6 +350,9 @@ def cmd_twists(args) -> int:
 
 
 def _suite_traces() -> bool:
+    from .arith import sieve_primes
+    from .curves import sigma_p, sigma_p_charsum
+
     primes = sieve_primes(50)
     for r in range(-4, 5):
         for s in range(-4, 5):
@@ -345,6 +365,8 @@ def _suite_traces() -> bool:
 
 
 def _suite_ramanujan() -> bool:
+    from . import oracles
+
     for b in range(1, 40):
         for a in range(-10, 11):
             if oracles.ramanujan_exponential_oracle(a, b) != int(
@@ -355,6 +377,8 @@ def _suite_ramanujan() -> bool:
 
 
 def _suite_gcd_sum() -> bool:
+    from . import oracles
+
     if oracles.gcd_sum_S(1, 1).total != 3 or oracles.gcd_sum_S(2, 2).total != 29:
         return False
     a = oracles.gcd_sum_S(7, 9, order="uvw").total
@@ -363,23 +387,29 @@ def _suite_gcd_sum() -> bool:
 
 
 def _suite_floor_inequality() -> bool:
+    from . import oracles
+
     return all(
         oracles.floor_inequality(e, f) for e in range(0, 80) for f in range(0, e + 1)
     )
 
 
 def _suite_fejer() -> bool:
+    import numpy as np
+
+    from . import weights
+
     tw = weights.triangular_weight()
     for t in (0.0, 0.3, 1.2, -2.7):
         if abs(weights.fourier_numeric(tw, t).real - weights.h_hat(t)) > 1e-8:
             return False
-    import numpy as np
-
     ts = np.linspace(-30, 30, 2001)
     return bool((weights.h_hat(ts) >= 0).all()) and weights.h_hat(0.0) == 1.0
 
 
 def _suite_kernel() -> bool:
+    from . import weights
+
     for X in (10.0, 100.0):
         plateau = 1.0 / math.log(X) ** 2
         for t in (0.0, 0.5 * (1 - 1 / X), 1 - 1 / X):
@@ -389,6 +419,8 @@ def _suite_kernel() -> bool:
 
 
 def _suite_cache(tmpdir: Path) -> bool:
+    from . import cache as cache_mod
+
     c = cache_mod.cache_build(8, 20)
     path = tmpdir / "verify.apcache"
     cache_mod.cache_save(c, path)
@@ -408,6 +440,9 @@ def _suite_cache(tmpdir: Path) -> bool:
 
 
 def _suite_sieve_indicator() -> bool:
+    from . import twists
+    from .arith import sieve_primes
+
     T, N = 1e10, 1
     cut = math.log(math.log(T))
     ps = [p for p in sieve_primes(int(cut)) if p > 2]
@@ -419,6 +454,8 @@ def _suite_sieve_indicator() -> bool:
 
 
 def _suite_poisson() -> bool:
+    from . import twists, weights
+
     w = weights.bump(1.0, 2.0)
     try:
         twists.poisson_twist_check(w, 1, 5, 200.0)
@@ -456,6 +493,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    from . import cache as cache_mod
+
     if args.cache_cmd == "build":
         _require(args, "T", "X", "out")
         try:
@@ -543,6 +582,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # avgrank's BLAS calls are tiny, and an idle OpenBLAS pool spins on the
+    # other cores: a CLI process starts none unless the user asks for one.
+    # A process that has loaded numpy already keeps its pool as it is.
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -31,6 +31,7 @@ __all__ = [
     "density_bound",
     "type1_S",
     "multinomial_C",
+    "optimal_k",
     "classify_type",
     "reference_decay",
     "high_rank_census",
