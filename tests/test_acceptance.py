@@ -191,20 +191,36 @@ def test_criterion_08_u2_inequality():
     assert verdict(8, ok, f"per-curve |U2| bound at T=1e3 ({detail})")
 
 
+def _type1_pnt(X: float) -> float:
+    """PNT prediction of type1_S(X)/log^2 X with its p > 100 cutoff.
+
+    With dp ~ dt/log t and u = log t, the sum over 100 < p <= X of
+    (2 h_X(log p) log p)^2 / p becomes the integral of 4 h_X(u)^2 u over
+    [log 100, log X].  The integrand is a cubic there, so the
+    Gauss-Legendre rule is exact.
+    """
+    lo, hi = math.log(100), math.log(X)
+    x, w = np.polynomial.legendre.leggauss(4)
+    u = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    return 0.5 * (hi - lo) * float(np.dot(w, 4.0 * h_X(u, X) ** 2 * u)) / hi**2
+
+
 def test_criterion_09_type1_sum_convergence():
     t0 = time.perf_counter()
     r5 = type1_S(10**5) / math.log(10**5) ** 2
     r6 = type1_S(10**6) / math.log(10**6) ** 2
     r7 = type1_S(10**7) / math.log(10**7) ** 2
     dt = time.perf_counter() - t0
+    pnt5, pnt6, pnt7 = (_type1_pnt(10.0**e) for e in (5, 6, 7))
     in_band = 0.28 <= r6 <= 0.39
     trend = abs(r7 - 1 / 3) < abs(r5 - 1 / 3)
     ok = in_band and trend and dt <= 120.0
     assert verdict(
         9,
         ok,
-        f"S(X)/log^2 X: {r5:.4f} @1e5, {r6:.4f} @1e6 (band [0.28,0.39]: {in_band}), "
-        f"{r7:.4f} @1e7 (trend toward 1/3: {trend}), {dt:.1f}s",
+        f"S(X)/log^2 X (PNT prediction): {r5:.4f} ({pnt5:.4f}) @1e5, "
+        f"{r6:.4f} ({pnt6:.4f}) @1e6 (band [0.28,0.39]: {in_band}), "
+        f"{r7:.4f} ({pnt7:.4f}) @1e7 (trend toward 1/3: {trend}), {dt:.1f}s",
     )
 
 

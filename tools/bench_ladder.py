@@ -1,4 +1,4 @@
-"""Run the avgrank CLI ladder and record wall time and peak RSS per entry.
+"""Run the avgrank CLI ladder and record wall time, CPU time and peak RSS per entry.
 
 Usage, from any directory:
 
@@ -12,9 +12,10 @@ PYTHONPATH set to that tree's src, in a scratch directory.  Checkouts
 take turns run by run, and which goes first alternates, so a slow spell of
 a noisy machine hits all of them.
 Every entry runs RUNS times per checkout.  Per entry the record holds
-the median wall time, every wall time, the largest peak RSS (from
+the median wall time, every wall time, the median CPU time of the
+process (user + system, from os.wait4), the largest peak RSS (also from
 os.wait4) and a SHA-256 of the output files, so equal digests across
-checkouts show equal bytes.  Only the standard
+checkouts show equal bytes.  The "help" entry is a bare process start.  Only the standard
 library is used, and the script keeps its own memory small: with vfork,
 a child's ru_maxrss also counts the parent's size at exec, so output
 files are hashed in chunks and numpy's version comes from a subprocess.
@@ -41,6 +42,7 @@ RUNS = 3  # runs per ladder entry and checkout; the record keeps their median
 
 # name -> CLI arguments; {out} is the scratch directory of the run
 LADDER = {
+    "help": "--help",
     "average-rank 1e5 316": "average-rank --T 1e5 --X 316 --out-csv {out}/rows.csv --out-json {out}/summary.json",
     "average-rank 1e6 1000": "average-rank --T 1e6 --X 1000 --out-csv {out}/rows.csv --out-json {out}/summary.json",
     "average-rank 1e7 1000": "average-rank --T 1e7 --X 1000 --out-csv {out}/rows.csv --out-json {out}/summary.json",
@@ -55,8 +57,8 @@ LADDER = {
 }
 
 
-def run_once(src: Path, args: str) -> tuple[float, float, str, int]:
-    """(wall s, peak RSS MB, digest of stdout and output files, exit code)."""
+def run_once(src: Path, args: str) -> tuple[float, float, float, str, int]:
+    """(wall s, CPU s, peak RSS MB, digest of stdout and output files, exit code)."""
     with tempfile.TemporaryDirectory(prefix="ladder-") as td:
         out = Path(td)
         argv = [sys.executable, "-m", "avgrank.cli", *args.format(out=td).split()]
@@ -76,7 +78,8 @@ def run_once(src: Path, args: str) -> tuple[float, float, str, int]:
             with open(f, "rb") as fh:
                 for chunk in iter(lambda: fh.read(1 << 20), b""):
                     digest.update(chunk)
-        return wall, usage.ru_maxrss / 1024.0, digest.hexdigest(), proc.returncode
+        cpu = usage.ru_utime + usage.ru_stime
+        return wall, cpu, usage.ru_maxrss / 1024.0, digest.hexdigest(), proc.returncode
 
 
 def git_commit(src: Path) -> str | None:
@@ -129,12 +132,17 @@ def main(argv=None) -> int:
                 "argv": LADDER[name].split(),
                 "wall_s": statistics.median(walls),
                 "walls_s": walls,
-                "peak_rss_mb": max(r[1] for r in runs),
-                "outputs_sha256": sorted({r[2] for r in runs}),
-                "exit_codes": sorted({r[3] for r in runs}),
+                "cpu_s": statistics.median(r[1] for r in runs),
+                "peak_rss_mb": max(r[2] for r in runs),
+                "outputs_sha256": sorted({r[3] for r in runs}),
+                "exit_codes": sorted({r[4] for r in runs}),
             }
             record["checkouts"][label]["entries"][name] = entry
-            print(f"{label:>8}  {name:<24} {entry['wall_s']:8.3f} s  {entry['peak_rss_mb']:7.1f} MB", file=sys.stderr)
+            print(
+                f"{label:>8}  {name:<24} {entry['wall_s']:8.3f} s  {entry['cpu_s']:8.3f} s cpu"
+                f"  {entry['peak_rss_mb']:7.1f} MB",
+                file=sys.stderr,
+            )
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
