@@ -10,7 +10,7 @@ no numpy, and each public name imports its module on first access, so a
 CLI process pays only for the modules its subcommand runs.
 """
 
-import importlib
+import sys
 
 _EXPORTS = {
     "arith": (
@@ -119,12 +119,14 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     # not cached in the package, so a name rebound in its module (as a
     # tracer does) is always read from there
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
-    module = _MODULE_OF.get(name)
+    module = name if name in _EXPORTS else _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+    # the import statement's machinery, unlike importlib.import_module,
+    # reports the load to python -X importtime
+    __import__(f"{__name__}.{module}")
+    mod = sys.modules[f"{__name__}.{module}"]
+    return mod if module == name else getattr(mod, name)
 
 
 def __dir__() -> list[str]:

@@ -18,8 +18,8 @@ import avgrank
 ENGINE = ("avgrank.curves", "avgrank.families", "avgrank.twists")
 
 
-def _run(code: str, **env_overrides) -> dict:
-    """Run code in a fresh interpreter; it prints one JSON object as its last line."""
+def _run(code: str, **env_overrides):
+    """Run code in a fresh interpreter and decode the JSON value it prints last."""
     env = dict(os.environ, PYTHONPATH=str(Path(avgrank.__file__).parents[1]))
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(env_overrides)
@@ -60,27 +60,30 @@ def test_help_and_bad_values_return_before_numpy_loads(tmp_path):
     assert got == [[], 2, 2, 0, []]
 
 
-def test_cache_check_loads_no_engine(tmp_path):
+@pytest.fixture
+def cache_file(tmp_path):
     path = tmp_path / "ap.apcache"
     avgrank.cache_save(avgrank.cache_build(20, 30), path)
+    return path
+
+
+def test_cache_check_loads_no_engine(cache_file):
     got = _run(
         "import avgrank.cache\n"
         f"after_import = loaded{ENGINE!r}\n"
         "from avgrank import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    rc = cli.main(['cache', 'check', '--path', {str(path)!r}])\n"
+        f"    rc = cli.main(['cache', 'check', '--path', {str(cache_file)!r}])\n"
         f"print(json.dumps([after_import, rc, loaded{ENGINE!r}]))\n"
     )
     assert got == [[], 0, []]
 
 
-def test_cli_process_starts_no_blas_pool_unless_asked(tmp_path):
-    path = tmp_path / "ap.apcache"
-    avgrank.cache_save(avgrank.cache_build(20, 30), path)
+def test_cli_process_starts_no_blas_pool_unless_asked(cache_file):
     code = (
         "from avgrank import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    cli.main(['cache', 'check', '--path', {str(path)!r}])\n"
+        f"    cli.main(['cache', 'check', '--path', {str(cache_file)!r}])\n"
         "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
     )
     assert _run(code) == "1"
