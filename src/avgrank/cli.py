@@ -493,10 +493,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from . import cache as cache_mod
-
     if args.cache_cmd == "build":
         _require(args, "T", "X", "out")
+        from . import cache as cache_mod
+
         try:
             c = cache_mod.cache_build(float(args.T), float(args.X))
         except ValueError as exc:
@@ -506,6 +506,8 @@ def cmd_cache(args) -> int:
         return EXIT_OK
     if args.cache_cmd == "check":
         _require(args, "path")
+        from . import cache as cache_mod
+
         try:
             c = cache_mod.cache_load(args.path)
         except OSError as exc:
