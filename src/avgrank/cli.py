@@ -350,9 +350,6 @@ def cmd_twists(args) -> int:
 
 
 def _suite_traces() -> bool:
-    from .arith import sieve_primes
-    from .curves import sigma_p, sigma_p_charsum
-
     primes = sieve_primes(50)
     for r in range(-4, 5):
         for s in range(-4, 5):
@@ -365,8 +362,6 @@ def _suite_traces() -> bool:
 
 
 def _suite_ramanujan() -> bool:
-    from . import oracles
-
     for b in range(1, 40):
         for a in range(-10, 11):
             if oracles.ramanujan_exponential_oracle(a, b) != int(
@@ -377,8 +372,6 @@ def _suite_ramanujan() -> bool:
 
 
 def _suite_gcd_sum() -> bool:
-    from . import oracles
-
     if oracles.gcd_sum_S(1, 1).total != 3 or oracles.gcd_sum_S(2, 2).total != 29:
         return False
     a = oracles.gcd_sum_S(7, 9, order="uvw").total
@@ -387,29 +380,23 @@ def _suite_gcd_sum() -> bool:
 
 
 def _suite_floor_inequality() -> bool:
-    from . import oracles
-
     return all(
         oracles.floor_inequality(e, f) for e in range(0, 80) for f in range(0, e + 1)
     )
 
 
 def _suite_fejer() -> bool:
-    import numpy as np
-
-    from . import weights
-
     tw = weights.triangular_weight()
     for t in (0.0, 0.3, 1.2, -2.7):
         if abs(weights.fourier_numeric(tw, t).real - weights.h_hat(t)) > 1e-8:
             return False
+    import numpy as np
+
     ts = np.linspace(-30, 30, 2001)
     return bool((weights.h_hat(ts) >= 0).all()) and weights.h_hat(0.0) == 1.0
 
 
 def _suite_kernel() -> bool:
-    from . import weights
-
     for X in (10.0, 100.0):
         plateau = 1.0 / math.log(X) ** 2
         for t in (0.0, 0.5 * (1 - 1 / X), 1 - 1 / X):
@@ -419,8 +406,6 @@ def _suite_kernel() -> bool:
 
 
 def _suite_cache(tmpdir: Path) -> bool:
-    from . import cache as cache_mod
-
     c = cache_mod.cache_build(8, 20)
     path = tmpdir / "verify.apcache"
     cache_mod.cache_save(c, path)
@@ -440,9 +425,6 @@ def _suite_cache(tmpdir: Path) -> bool:
 
 
 def _suite_sieve_indicator() -> bool:
-    from . import twists
-    from .arith import sieve_primes
-
     T, N = 1e10, 1
     cut = math.log(math.log(T))
     ps = [p for p in sieve_primes(int(cut)) if p > 2]
@@ -454,8 +436,6 @@ def _suite_sieve_indicator() -> bool:
 
 
 def _suite_poisson() -> bool:
-    from . import twists, weights
-
     w = weights.bump(1.0, 2.0)
     try:
         twists.poisson_twist_check(w, 1, 5, 200.0)
@@ -467,6 +447,13 @@ def _suite_poisson() -> bool:
 
 def cmd_verify(args) -> int:
     import tempfile
+
+    # the suites above read these engine modules as globals of this module
+    global cache_mod, oracles, sieve_primes, sigma_p, sigma_p_charsum, twists, weights
+    from . import cache as cache_mod
+    from . import oracles, twists, weights
+    from .arith import sieve_primes
+    from .curves import sigma_p, sigma_p_charsum
 
     suites = [
         ("traces", _suite_traces),

@@ -234,15 +234,8 @@ def sigma_p_batch(r: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
     r3 = (rm * rm % p) * rm % p
     k = r3 * _powmod(sm, p - 3, p) % p  # s^(p-3) = s^-2; k = 0 where r s = 0
     out = (kk.astype(np.int64) * chi)[k] * chi[sm]
-    # r = 0 cells read a_p(0, s), then s = 0 cells a_p(r, 0)
-    for zero, table, idx in ((rm == 0, zs, sm), (sm == 0, rz, rm)):
-        if zero.shape == idx.shape == out.shape:
-            # flat pairs: gather the table at the few zero cells only
-            cells = np.flatnonzero(zero)
-            out.flat[cells] = table[idx.flat[cells]]
-        else:
-            # a grid: the zero mask is a row or a column, idx the other side
-            np.copyto(out, table[idx], where=zero)
+    np.copyto(out, zs[sm], where=rm == 0)
+    np.copyto(out, rz[rm], where=sm == 0)
     return out
 
 
