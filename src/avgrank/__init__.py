@@ -24,7 +24,7 @@ _EXPORTS = {
         "ramanujan_sum",
         "sieve_primes",
     ),
-    "cache": ("ApCache", "CorruptCacheError", "cache_build", "cache_load", "cache_save"),
+    "cache": ("ApCache", "CorruptCacheError", "cache_build", "cache_check", "cache_load", "cache_save"),
     "curves": (
         "Curve",
         "NumericalDriftError",

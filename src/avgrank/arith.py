@@ -181,6 +181,7 @@ def _kronecker_any(a: int, b: int) -> int:
     return k if b == 1 else 0
 
 
+@lru_cache(maxsize=512)
 def gauss_sum(p: int) -> complex:
     """tau_p = sum_t (t/p) e^(2 pi i t / p), by direct summation."""
     tab = residue_table(p).astype(np.float64)

@@ -8,25 +8,36 @@ Layout (all integers little-endian int64):
     then n records of 4 int64 each: (r, s, p, a_p)
 
 Records are sorted lexicographically by (r, s, p) with no duplicates, and
-every a_p must satisfy the Hasse bound; loading validates all of this and
-raises CorruptCacheError with a specific message otherwise.
+every a_p must satisfy the Hasse bound a_p^2 <= 4p; checking or loading
+validates all of this and raises CorruptCacheError with a specific message
+otherwise.
 
-The file format needs only numpy; cache_build and u1_sweep import the
-trace engine when they run, so reading or checking a cache loads none of it.
+Validation needs only the standard library: it walks the records in blocks
+of _BLOCK, compares consecutive (r, s, p) key tuples, carrying the last key
+from one block to the next, and checks the Hasse bound in exact integers.
+cache_check streams the file through it in bounded memory and loads no
+numpy; cache_load runs it over the whole body and then builds the array.
+cache_build and u1_sweep import the trace engine when they run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
 import struct
+import sys
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .arith import PrimeTable
 
 __all__ = [
@@ -36,6 +47,7 @@ __all__ = [
     "ApCache",
     "cache_build",
     "cache_save",
+    "cache_check",
     "cache_load",
     "u1_sweep",
 ]
@@ -43,6 +55,8 @@ __all__ = [
 MAGIC = b"APCACHE1"
 VERSION = 1
 _HEADER = struct.Struct("<8sqq")
+_RECORD = 32  # bytes per record
+_BLOCK = 1 << 15  # records validated at a time
 
 
 class CorruptCacheError(RuntimeError):
@@ -62,7 +76,7 @@ class ApCache:
     @cached_property
     def _keys(self) -> np.ndarray:
         """Contiguous (r, s, p) key columns, built on the first lookup."""
-        return np.ascontiguousarray(self.records[:, :3].T)
+        return self.records[:, :3].T.copy()
 
     def __len__(self) -> int:
         return len(self.records)
@@ -76,12 +90,14 @@ class ApCache:
         lo, hi = 0, len(self.records)
         for keys, v in zip(self._keys, (r, s, p)):
             block = keys[lo:hi]
-            lo, hi = lo + np.searchsorted(block, v, "left"), lo + np.searchsorted(block, v, "right")
+            lo, hi = lo + block.searchsorted(v, "left"), lo + block.searchsorted(v, "right")
         return int(self.records[lo, 3]) if lo < hi else None
 
 
 def cache_build(T: float, X: float, primes: PrimeTable | None = None) -> ApCache:
     """Traces of every minimal curve in the box for all 5 <= p <= X."""
+    import numpy as np
+
     from .arith import sieve_primes
     from .curves import sigma_p_batch
     from .families import _box
@@ -105,48 +121,102 @@ def cache_save(cache: ApCache, path: str | Path) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(cache)))
-        fh.write(np.ascontiguousarray(cache.records, dtype="<i8").tobytes())
+        fh.write(cache.records.astype("<i8", copy=False).tobytes())
 
 
-def cache_load(path: str | Path) -> ApCache:
-    """Read and fully validate a cache file."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
+def _check_header(path: Path, head: bytes, size: int) -> int:
+    """Record count of a file of size bytes that starts with head."""
+    if len(head) < _HEADER.size:
         raise CorruptCacheError(f"corrupt cache {path}: truncated header")
-    magic, version, count = _HEADER.unpack_from(raw)
+    magic, version, count = _HEADER.unpack_from(head)
     if magic != MAGIC:
         raise CorruptCacheError(f"corrupt cache {path}: bad magic {magic!r}")
     if version != VERSION:
         raise CorruptCacheError(f"corrupt cache {path}: unsupported version {version}")
     if count < 0:
         raise CorruptCacheError(f"corrupt cache {path}: negative record count")
-    body = raw[_HEADER.size :]
-    if len(body) != count * 32:
+    found = size - _HEADER.size
+    if found != count * _RECORD:
         raise CorruptCacheError(
-            f"corrupt cache {path}: expected {count * 32} record bytes, found {len(body)}"
+            f"corrupt cache {path}: expected {count * _RECORD} record bytes, found {found}"
         )
-    rec = np.frombuffer(body, dtype="<i8").astype(np.int64).reshape(count, 4)
-    if count > 1:
-        keys = rec[:, :3]
-        prev, curr = keys[:-1], keys[1:]
-        le = (
-            (prev[:, 0] < curr[:, 0])
-            | ((prev[:, 0] == curr[:, 0]) & (prev[:, 1] < curr[:, 1]))
-            | ((prev[:, 0] == curr[:, 0]) & (prev[:, 1] == curr[:, 1]) & (prev[:, 2] < curr[:, 2]))
-        )
-        if not le.all():
-            i = int(np.argmin(le))
-            raise CorruptCacheError(
-                f"corrupt cache {path}: records not strictly sorted at index {i + 1}"
-            )
-    bad = rec[:, 3] * rec[:, 3] > 4 * rec[:, 2]
-    if bad.any():
-        i = int(np.argmax(bad))
+    return count
+
+
+def _first_false(flags: Iterable[bool]) -> int | None:
+    """Position of the first false flag, or None when every flag holds."""
+    try:
+        return operator.indexOf(flags, False)
+    except ValueError:
+        return None
+
+
+def _check_records(path: Path, blocks: Iterable[bytes]) -> None:
+    """Check the record body, given as consecutive blocks of whole records.
+
+    Each block becomes four lists of Python ints, one per column, so the
+    comparisons below run in C over existing objects.  Every sortedness
+    break is reported before any Hasse violation, each at its first index,
+    as a check of the whole body at once would report them.
+    """
+    prev = ()  # the key of the previous block's last record
+    start = 0  # index of the block's first record
+    hasse = None  # the first Hasse violation seen
+    for block in blocks:
+        col = array("q")
+        col.frombytes(block)
+        if sys.byteorder == "big":
+            col.byteswap()
+        vals = col.tolist()
+        r, s, p, a = vals[0::4], vals[1::4], vals[2::4], vals[3::4]
+        if prev:
+            lows, highs = chain((prev,), zip(r, s, p)), zip(r, s, p)
+        else:  # the first record has no predecessor
+            lows, highs = zip(r, s, p), islice(zip(r, s, p), 1, None)
+        j = _first_false(map(operator.lt, lows, highs))
+        if j is not None:
+            i = start + j + (not prev)
+            raise CorruptCacheError(f"corrupt cache {path}: records not strictly sorted at index {i}")
+        if hasse is None:
+            # exact integers: a_p^2 > 4p must not wrap as it would in int64
+            j = _first_false(map(operator.le, map(operator.mul, a, a), map(operator.mul, p, repeat(4))))
+            if j is not None:
+                hasse = (start + j, r[j], s[j], p[j], a[j])
+        if r:
+            prev = (r[-1], s[-1], p[-1])
+        start += len(r)
+    if hasse is not None:
+        i, r, s, p, a = hasse
         raise CorruptCacheError(
             f"corrupt cache {path}: Hasse bound violated at index {i}: "
-            f"(r={rec[i, 0]}, s={rec[i, 1]}, p={rec[i, 2]}, ap={rec[i, 3]})"
+            f"(r={r}, s={s}, p={p}, ap={a})"
         )
+
+
+def cache_check(path: str | Path) -> int:
+    """Fully validate a cache file and return its record count.
+
+    The file is read one block at a time, so memory stays bounded however
+    large the file is, and numpy is never imported.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        count = _check_header(path, fh.read(_HEADER.size), os.fstat(fh.fileno()).st_size)
+        _check_records(path, iter(partial(fh.read, _BLOCK * _RECORD), b""))
+    return count
+
+
+def cache_load(path: str | Path) -> ApCache:
+    """Read and fully validate a cache file."""
+    path = Path(path)
+    raw = path.read_bytes()
+    count = _check_header(path, raw[: _HEADER.size], len(raw))
+    body = memoryview(raw)[_HEADER.size :]
+    step = _BLOCK * _RECORD
+    _check_records(path, (body[k : k + step] for k in range(0, len(body), step)))
+    import numpy as np
+
+    rec = np.frombuffer(raw, dtype="<i8", offset=_HEADER.size).astype(np.int64).reshape(count, 4)
     return ApCache(records=rec)
 
 
@@ -158,6 +228,8 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     (curve, prime) key is looked up and a hit replaces the engine's trace;
     a missing key keeps the engine's value.
     """
+    import numpy as np
+
     from .arith import sieve_primes
     from .curves import discriminant
     from .families import box_grid, fsum_rows, prime_terms

@@ -354,9 +354,8 @@ def _suite_traces() -> bool:
     for r in range(-4, 5):
         for s in range(-4, 5):
             for p in primes.in_range(5, 50):
-                if sigma_p(r, s, p) != sigma_p_charsum(r, s, p):
-                    return False
-                if sigma_p(r, s, p) ** 2 > 4 * p:
+                a = sigma_p(r, s, p)
+                if a != sigma_p_charsum(r, s, p) or a * a > 4 * p:
                     return False
     return True
 
@@ -496,13 +495,13 @@ def cmd_cache(args) -> int:
         from . import cache as cache_mod
 
         try:
-            c = cache_mod.cache_load(args.path)
+            n = cache_mod.cache_check(args.path)
         except OSError as exc:
             raise ConfigError(f"cannot read cache {args.path}: {exc.strerror}") from exc
         except cache_mod.CorruptCacheError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VERIFY_FAILED
-        print(f"ok: {len(c)} records")
+        print(f"ok: {n} records")
         return EXIT_OK
     raise ConfigError("cache requires a sub-action: build or check")
 

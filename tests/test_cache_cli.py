@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import struct
 import time
 
@@ -11,10 +12,12 @@ from avgrank.cache import (
     ApCache,
     CorruptCacheError,
     cache_build,
+    cache_check,
     cache_load,
     cache_save,
     u1_sweep,
 )
+from avgrank import cache as cache_mod
 from avgrank import twists
 from avgrank.cli import load_curve_data, main
 from avgrank.curves import Curve, ap
@@ -100,6 +103,91 @@ def test_cache_load_rejects_unsorted_and_hasse(tmp_path):
     cache_save(ApCache(records=rec), path)
     with pytest.raises(CorruptCacheError, match="Hasse"):
         cache_load(path)
+
+
+# a_p^2 of these wraps in int64 to 0 and to a negative number
+OVERFLOW_APS = (2**32, -(2**32), 3_037_000_500, -3_037_000_500)
+
+
+@pytest.mark.parametrize("a", OVERFLOW_APS)
+def test_hasse_check_is_exact_beyond_int64(tmp_path, capsys, a):
+    rec = cache_build(10.0, 10.0).records.copy()
+    rec[2, 3] = a
+    path = tmp_path / "c.apcache"
+    cache_save(ApCache(records=rec), path)
+    for read in (cache_check, cache_load):
+        with pytest.raises(CorruptCacheError, match=f"Hasse bound violated at index 2: .*ap={a}\\)"):
+            read(path)
+    assert run_cli(["cache", "check", "--path", str(path)]) == 4
+    assert "Hasse bound violated at index 2" in capsys.readouterr().err
+
+
+def _reference_verdict(path, rec: np.ndarray) -> str | None:
+    """The error message a full-body check gives, or None for a valid body.
+
+    Keys are compared column by column in int64 (exact for any int64 key),
+    and the Hasse bound in Python integers, so no square can wrap.
+    """
+    prev, curr = rec[:-1, :3], rec[1:, :3]
+    r_eq, s_eq = prev[:, 0] == curr[:, 0], prev[:, 1] == curr[:, 1]
+    ordered = (
+        (prev[:, 0] < curr[:, 0])
+        | (r_eq & (prev[:, 1] < curr[:, 1]))
+        | (r_eq & s_eq & (prev[:, 2] < curr[:, 2]))
+    )
+    if not ordered.all():
+        return f"corrupt cache {path}: records not strictly sorted at index {int(np.argmin(ordered)) + 1}"
+    for i, (r, s, p, a) in enumerate(rec.tolist()):
+        if a * a > 4 * p:
+            return f"corrupt cache {path}: Hasse bound violated at index {i}: (r={r}, s={s}, p={p}, ap={a})"
+    return None
+
+
+def _corrupt(rec: np.ndarray, rng: random.Random) -> None:
+    """Apply one random corruption to rec in place."""
+    n = len(rec)
+    i = rng.randrange(n)
+    kind = rng.choice(("swap", "duplicate", "ap", "negative p"))
+    if kind == "swap":
+        j = min(i + 1, n - 1)
+        rec[[i, j]] = rec[[j, i]]
+    elif kind == "duplicate":
+        j = min(i + 1, n - 1)
+        rec[j, :3] = rec[i, :3]
+    elif kind == "ap":
+        bound = math.isqrt(4 * int(rec[i, 2]))
+        rec[i, 3] = rng.choice((bound, bound + 1, -bound - 1, 10**6, 2**62, *OVERFLOW_APS))
+    else:
+        rec[i, 2] = -rng.randrange(1, 2**40)
+
+
+def test_block_validator_matches_full_body_reference(tmp_path, monkeypatch):
+    # blocks of 7 records, so breaks fall on and next to block boundaries
+    monkeypatch.setattr(cache_mod, "_BLOCK", 7)
+    base = cache_build(12.0, 40.0).records
+    assert len(base) > 10 * 7
+    path = tmp_path / "c.apcache"
+    rng = random.Random(2003)
+    verdicts = set()
+    for case in range(300):
+        rec = base[: rng.randrange(1, len(base) + 1)].copy()
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            _corrupt(rec, rng)
+        cache_save(ApCache(records=rec), path)
+        want = _reference_verdict(path, rec)
+        verdicts.add(want is None or want.split(": ")[1][:5])
+        for read in (cache_check, cache_load):
+            try:
+                read(path)
+                got = None
+            except CorruptCacheError as exc:
+                got = str(exc)
+            assert got == want, (case, read.__name__)
+        if want is None:
+            assert cache_check(path) == len(rec)
+            assert (cache_load(path).records == rec).all()
+    # every verdict occurred: valid, unsorted and Hasse-violating files
+    assert verdicts == {True, "recor", "Hasse"}
 
 
 def test_u1_sweep_cache_equivalence_and_speed(tmp_path):

@@ -67,16 +67,25 @@ def cache_file(tmp_path):
     return path
 
 
-def test_cache_check_loads_no_engine(cache_file):
+def test_cache_check_loads_no_engine(cache_file, tmp_path):
+    # neither the engine nor numpy, whether the file is valid, corrupt or missing
+    raw = bytearray(cache_file.read_bytes())
+    raw[-8:] = (10**6).to_bytes(8, "little", signed=True)
+    corrupt = tmp_path / "corrupt.apcache"
+    corrupt.write_bytes(bytes(raw))
+    paths = [str(cache_file), str(corrupt), str(tmp_path / "missing.apcache")]
+    modules = (*ENGINE, "numpy")
     got = _run(
         "import avgrank.cache\n"
-        f"after_import = loaded{ENGINE!r}\n"
+        f"after_import = loaded{modules!r}\n"
         "from avgrank import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    rc = cli.main(['cache', 'check', '--path', {str(cache_file)!r}])\n"
-        f"print(json.dumps([after_import, rc, loaded{ENGINE!r}]))\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    for path in {paths!r}:\n"
+        "        codes.append(cli.main(['cache', 'check', '--path', path]))\n"
+        f"print(json.dumps([after_import, codes, loaded{modules!r}]))\n"
     )
-    assert got == [[], 0, []]
+    assert got == [[], [0, 4, 2], []]
 
 
 def test_cli_process_starts_no_blas_pool_unless_asked(cache_file):

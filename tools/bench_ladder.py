@@ -15,7 +15,9 @@ Every entry runs RUNS times per checkout.  Per entry the record holds
 the median wall time, every wall time, the median CPU time of the
 process (user + system, from os.wait4), the largest peak RSS (also from
 os.wait4) and a SHA-256 of the output files, so equal digests across
-checkouts show equal bytes.  The "help" entry is a bare process start.  Only the standard
+checkouts show equal bytes.  The "help" entry is a bare process start.
+The "cache check" entries read cache files that the first checkout builds
+once per ladder run, before any timed run.  Only the standard
 library is used, and the script keeps its own memory small: with vfork,
 a child's ru_maxrss also counts the parent's size at exec, so output
 files are hashed in chunks and numpy's version comes from a subprocess.
@@ -53,16 +55,28 @@ LADDER = {
         "--out-csv {out}/twists.csv --out-json {out}/twists.json"
     ),
     "cache build 1e4 300": "cache build --T 1e4 --X 300 --out {out}/ap.apcache",
+    "cache check 1e3 100": "cache check --path {fixtures}/ap-1e3-100.apcache",
+    "cache check 1e4 300": "cache check --path {fixtures}/ap-1e4-300.apcache",
     "verify": "verify",
+}
+# file name -> CLI arguments that write it to {path}; {fixtures} above is
+# the directory that holds them
+FIXTURES = {
+    "ap-1e3-100.apcache": "cache build --T 1e3 --X 100 --out {path}",
+    "ap-1e4-300.apcache": "cache build --T 1e4 --X 300 --out {path}",
 }
 
 
-def run_once(src: Path, args: str) -> tuple[float, float, float, str, int]:
+def cli_env(src: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(src / "src"))
+
+
+def run_once(src: Path, args: str, fixtures: str) -> tuple[float, float, float, str, int]:
     """(wall s, CPU s, peak RSS MB, digest of stdout and output files, exit code)."""
     with tempfile.TemporaryDirectory(prefix="ladder-") as td:
         out = Path(td)
-        argv = [sys.executable, "-m", "avgrank.cli", *args.format(out=td).split()]
-        env = dict(os.environ, PYTHONPATH=str(src / "src"))
+        argv = [sys.executable, "-m", "avgrank.cli", *args.format(out=td, fixtures=fixtures).split()]
+        env = cli_env(src)
         with open(out / "stdout", "wb") as so:
             t0 = time.perf_counter()
             proc = subprocess.Popen(argv, stdout=so, stderr=subprocess.DEVNULL, cwd=td, env=env)
@@ -121,34 +135,44 @@ def main(argv=None) -> int:
         "runs": RUNS,
         "checkouts": {label: {"commit": git_commit(src), "entries": {}} for label, src in checkouts.items()},
     }
-    for name in LADDER:
-        samples = {label: [] for label in checkouts}
-        for k in range(RUNS):
-            for label, src in list(checkouts.items())[:: -1 if k % 2 else 1]:
-                samples[label].append(run_once(src, LADDER[name]))
-        for label, runs in samples.items():
-            walls = [r[0] for r in runs]
-            entry = {
-                "argv": LADDER[name].split(),
-                "wall_s": statistics.median(walls),
-                "walls_s": walls,
-                "cpu_s": statistics.median(r[1] for r in runs),
-                "peak_rss_mb": max(r[2] for r in runs),
-                "outputs_sha256": sorted({r[3] for r in runs}),
-                "exit_codes": sorted({r[4] for r in runs}),
-            }
-            record["checkouts"][label]["entries"][name] = entry
-            print(
-                f"{label:>8}  {name:<24} {entry['wall_s']:8.3f} s  {entry['cpu_s']:8.3f} s cpu"
-                f"  {entry['peak_rss_mb']:7.1f} MB",
-                file=sys.stderr,
-            )
+    with tempfile.TemporaryDirectory(prefix="ladder-fixtures-") as fixtures:
+        first = next(iter(checkouts.values()))
+        for file, build in FIXTURES.items():
+            cmd = [sys.executable, "-m", "avgrank.cli", *build.format(path=f"{fixtures}/{file}").split()]
+            subprocess.run(cmd, stdout=subprocess.DEVNULL, cwd=fixtures, env=cli_env(first), check=True)
+        for name in LADDER:
+            record_entry(record, checkouts, name, fixtures)
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
+
+
+def record_entry(record: dict, checkouts: dict, name: str, fixtures: str) -> None:
+    """Run one ladder entry RUNS times per checkout and store its summary."""
+    samples = {label: [] for label in checkouts}
+    for k in range(RUNS):
+        for label, src in list(checkouts.items())[:: -1 if k % 2 else 1]:
+            samples[label].append(run_once(src, LADDER[name], fixtures))
+    for label, runs in samples.items():
+        walls = [r[0] for r in runs]
+        entry = {
+            "argv": LADDER[name].split(),
+            "wall_s": statistics.median(walls),
+            "walls_s": walls,
+            "cpu_s": statistics.median(r[1] for r in runs),
+            "peak_rss_mb": max(r[2] for r in runs),
+            "outputs_sha256": sorted({r[3] for r in runs}),
+            "exit_codes": sorted({r[4] for r in runs}),
+        }
+        record["checkouts"][label]["entries"][name] = entry
+        print(
+            f"{label:>8}  {name:<24} {entry['wall_s']:8.3f} s  {entry['cpu_s']:8.3f} s cpu"
+            f"  {entry['peak_rss_mb']:7.1f} MB",
+            file=sys.stderr,
+        )
 
 
 if __name__ == "__main__":
