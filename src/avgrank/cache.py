@@ -145,10 +145,9 @@ def _check_header(path: Path, head: bytes, size: int) -> int:
 
 def _first_false(flags: Iterable[bool]) -> int | None:
     """Position of the first false flag, or None when every flag holds."""
-    try:
-        return operator.indexOf(flags, False)
-    except ValueError:
-        return None
+    flags = list(flags)
+    # all() tests each flag's truth; an index search would compare each to False
+    return None if all(flags) else flags.index(False)
 
 
 def _check_records(path: Path, blocks: Iterable[bytes]) -> None:
@@ -167,8 +166,8 @@ def _check_records(path: Path, blocks: Iterable[bytes]) -> None:
         col.frombytes(block)
         if sys.byteorder == "big":
             col.byteswap()
-        vals = col.tolist()
-        r, s, p, a = vals[0::4], vals[1::4], vals[2::4], vals[3::4]
+        view = memoryview(col)
+        r, s, p, a = (view[k::4].tolist() for k in range(4))
         if prev:
             lows, highs = chain((prev,), zip(r, s, p)), zip(r, s, p)
         else:  # the first record has no predecessor
