@@ -31,7 +31,7 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -158,9 +158,9 @@ def _check_records(path: Path, blocks: Iterable[bytes]) -> None:
     break is reported before any Hasse violation, each at its first index,
     as a check of the whole body at once would report them.
     """
-    prev = ()  # the key of the previous block's last record
+    prev = ()  # the last key of the previous block; () sorts before every key
     start = 0  # index of the block's first record
-    hasse = None  # the first Hasse violation seen
+    hasse = None  # the message of the first Hasse violation
     for block in blocks:
         col = array("q")
         col.frombytes(block)
@@ -168,28 +168,21 @@ def _check_records(path: Path, blocks: Iterable[bytes]) -> None:
             col.byteswap()
         view = memoryview(col)
         r, s, p, a = (view[k::4].tolist() for k in range(4))
-        if prev:
-            lows, highs = chain((prev,), zip(r, s, p)), zip(r, s, p)
-        else:  # the first record has no predecessor
-            lows, highs = zip(r, s, p), islice(zip(r, s, p), 1, None)
-        j = _first_false(map(operator.lt, lows, highs))
+        j = _first_false(map(operator.lt, chain((prev,), zip(r, s, p)), zip(r, s, p)))
         if j is not None:
-            i = start + j + (not prev)
-            raise CorruptCacheError(f"corrupt cache {path}: records not strictly sorted at index {i}")
+            raise CorruptCacheError(f"corrupt cache {path}: records not strictly sorted at index {start + j}")
         if hasse is None:
             # exact integers: a_p^2 > 4p must not wrap as it would in int64
             j = _first_false(map(operator.le, map(operator.mul, a, a), map(operator.mul, p, repeat(4))))
             if j is not None:
-                hasse = (start + j, r[j], s[j], p[j], a[j])
-        if r:
-            prev = (r[-1], s[-1], p[-1])
+                hasse = (
+                    f"corrupt cache {path}: Hasse bound violated at index {start + j}: "
+                    f"(r={r[j]}, s={s[j]}, p={p[j]}, ap={a[j]})"
+                )
+        prev = (r[-1], s[-1], p[-1])
         start += len(r)
     if hasse is not None:
-        i, r, s, p, a = hasse
-        raise CorruptCacheError(
-            f"corrupt cache {path}: Hasse bound violated at index {i}: "
-            f"(r={r}, s={s}, p={p}, ap={a})"
-        )
+        raise CorruptCacheError(hasse)
 
 
 def cache_check(path: str | Path) -> int:

@@ -141,38 +141,33 @@ def main(argv=None) -> int:
             cmd = [sys.executable, "-m", "avgrank.cli", *build.format(path=f"{fixtures}/{file}").split()]
             subprocess.run(cmd, stdout=subprocess.DEVNULL, cwd=fixtures, env=cli_env(first), check=True)
         for name in LADDER:
-            record_entry(record, checkouts, name, fixtures)
+            samples = {label: [] for label in checkouts}
+            for k in range(RUNS):
+                for label, src in list(checkouts.items())[:: -1 if k % 2 else 1]:
+                    samples[label].append(run_once(src, LADDER[name], fixtures))
+            for label, runs in samples.items():
+                walls = [r[0] for r in runs]
+                entry = {
+                    "argv": LADDER[name].split(),
+                    "wall_s": statistics.median(walls),
+                    "walls_s": walls,
+                    "cpu_s": statistics.median(r[1] for r in runs),
+                    "peak_rss_mb": max(r[2] for r in runs),
+                    "outputs_sha256": sorted({r[3] for r in runs}),
+                    "exit_codes": sorted({r[4] for r in runs}),
+                }
+                record["checkouts"][label]["entries"][name] = entry
+                print(
+                    f"{label:>8}  {name:<24} {entry['wall_s']:8.3f} s  {entry['cpu_s']:8.3f} s cpu"
+                    f"  {entry['peak_rss_mb']:7.1f} MB",
+                    file=sys.stderr,
+                )
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return 0
-
-
-def record_entry(record: dict, checkouts: dict, name: str, fixtures: str) -> None:
-    """Run one ladder entry RUNS times per checkout and store its summary."""
-    samples = {label: [] for label in checkouts}
-    for k in range(RUNS):
-        for label, src in list(checkouts.items())[:: -1 if k % 2 else 1]:
-            samples[label].append(run_once(src, LADDER[name], fixtures))
-    for label, runs in samples.items():
-        walls = [r[0] for r in runs]
-        entry = {
-            "argv": LADDER[name].split(),
-            "wall_s": statistics.median(walls),
-            "walls_s": walls,
-            "cpu_s": statistics.median(r[1] for r in runs),
-            "peak_rss_mb": max(r[2] for r in runs),
-            "outputs_sha256": sorted({r[3] for r in runs}),
-            "exit_codes": sorted({r[4] for r in runs}),
-        }
-        record["checkouts"][label]["entries"][name] = entry
-        print(
-            f"{label:>8}  {name:<24} {entry['wall_s']:8.3f} s  {entry['cpu_s']:8.3f} s cpu"
-            f"  {entry['peak_rss_mb']:7.1f} MB",
-            file=sys.stderr,
-        )
 
 
 if __name__ == "__main__":
