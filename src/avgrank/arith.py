@@ -13,7 +13,6 @@ batch character-sum evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,12 +39,14 @@ __all__ = [
 gcd = math.gcd
 
 
-@dataclass(frozen=True)
 class PrimeTable:
     """All primes <= limit, in increasing order."""
 
-    limit: int
-    primes: tuple[int, ...]
+    __slots__ = ("limit", "primes")
+
+    def __init__(self, limit: int, primes: tuple[int, ...]):
+        self.limit = limit
+        self.primes = primes
 
     def __iter__(self):
         return iter(self.primes)

@@ -29,7 +29,6 @@ import struct
 import sys
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, repeat
 from pathlib import Path
@@ -63,15 +62,13 @@ class CorruptCacheError(RuntimeError):
     """The cache file failed a structural or arithmetic validity check."""
 
 
-@dataclass(frozen=True)
 class ApCache:
     """In-memory view of a cache: a sorted (n, 4) int64 array of (r, s, p, a_p)."""
 
-    records: np.ndarray
-
-    def __post_init__(self):
-        if self.records.ndim != 2 or self.records.shape[1] != 4:
+    def __init__(self, records: np.ndarray):
+        if records.ndim != 2 or records.shape[1] != 4:
             raise ValueError("records must be an (n, 4) array")
+        self.records = records
 
     @cached_property
     def _keys(self) -> np.ndarray:

@@ -7,19 +7,21 @@ the --threads setting.  Configuration comes from flags plus an optional
 JSON config file, with flags winning; environment variables are never
 consulted.
 
-This module imports only the standard library; each subcommand imports
-the engine modules it runs, so --help and a bad option value return
-before numpy loads.  main sets OPENBLAS_NUM_THREADS=1 unless the user
-has set it, so no idle BLAS pool runs beside the process.
+This module imports only the standard library, and json only where a
+JSON file is read or written; each subcommand imports the engine modules
+it runs (verify its suites from avgrank.verify), so --help and a bad
+option value return before numpy loads.  main sets
+OPENBLAS_NUM_THREADS=1 unless the user has set it, so no idle BLAS pool
+runs beside the process.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -34,6 +36,7 @@ EXIT_EMPTY_FAMILY = 3
 EXIT_VERIFY_FAILED = 4
 
 AVERAGE_RANK_HEADER = "r,s,logN_term,U1_term,U2_term,bound"
+AVERAGE_RANK_ROW = "%d,%d,%r,%r,%r,%r\n"
 DENSITY_HEADER = "R,census,markov_bound,reference_decay"
 TWISTS_HEADER = "D,sign,weight,logN_term,U1_term,U2_term,bound"
 CSV_BLOCK = 1024
@@ -54,6 +57,8 @@ def _finite_or_none(x: float) -> float | None:
 
 
 def _write_json(path: Path, obj) -> None:
+    import json
+
     with open(path, "w", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
         fh.write("\n")
@@ -105,6 +110,8 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
     """Fill unset (None) options from the JSON config file; flags win."""
     if not getattr(args, "config", None):
         return
+    import json
+
     try:
         data = json.loads(Path(args.config).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -121,8 +128,9 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 def _check_values(args: argparse.Namespace) -> None:
     """T, X and C0 must be finite numbers, r, s, N, w and base-index
-    integers (not bool), R-max a nonnegative integer and file options
-    strings; an output file must go into an existing directory.
+    integers (not bool), R-max a nonnegative and threads a positive
+    integer, and file options strings; an output file must go into an
+    existing directory.
 
     Runs after the config file is applied, so it sees both sources; json
     reads NaN and Infinity as floats.  A bad value fails before any work
@@ -145,6 +153,9 @@ def _check_values(args: argparse.Namespace) -> None:
     val = getattr(args, "R_max", None)
     if val is not None and not (type(val) is int and val >= 0):
         raise ConfigError(f"--R-max must be a nonnegative integer, got {val!r}")
+    val = getattr(args, "threads", None)
+    if val is not None and not (type(val) is int and val >= 1):
+        raise ConfigError(f"--threads must be a positive integer, got {val!r}")
     for name in ("curve_file", "path", "out", "out_csv", "out_json"):
         val = getattr(args, name, None)
         if val is None:
@@ -182,12 +193,12 @@ def cmd_average_rank(args) -> int:
     cols = (report.r, report.s, report.logN_term, report.U1_term, report.U2_term, report.bound)
     with open(args.out_csv, "w", newline="\n") as fh:
         fh.write(AVERAGE_RANK_HEADER + "\n")
-        # blocks of tolist() rows: one Python object per value, never the whole file
+        # blocks of tolist() rows: one Python object per value, never the
+        # whole file; one % formats a block, with %r as repr of each float
         for i in range(0, len(report.r), CSV_BLOCK):
-            fh.writelines(
-                f"{r},{s},{lt!r},{u1!r},{u2!r},{b!r}\n"
-                for r, s, lt, u1, u2, b in zip(*(c[i : i + CSV_BLOCK].tolist() for c in cols))
-            )
+            block = [c[i : i + CSV_BLOCK].tolist() for c in cols]
+            fmt = AVERAGE_RANK_ROW * len(block[0])
+            fh.write(fmt % tuple(chain.from_iterable(zip(*block))))
     n = len(report.r)
     _write_json(
         Path(args.out_json),
@@ -349,129 +360,15 @@ def cmd_twists(args) -> int:
 # verify
 
 
-def _suite_traces() -> bool:
-    primes = sieve_primes(50)
-    for r in range(-4, 5):
-        for s in range(-4, 5):
-            for p in primes.in_range(5, 50):
-                a = sigma_p(r, s, p)
-                if a != sigma_p_charsum(r, s, p) or a * a > 4 * p:
-                    return False
-    return True
-
-
-def _suite_ramanujan() -> bool:
-    for b in range(1, 40):
-        for a in range(-10, 11):
-            if oracles.ramanujan_exponential_oracle(a, b) != int(
-                oracles.ramanujan_divisor_sweep([a], b)[0]
-            ):
-                return False
-    return True
-
-
-def _suite_gcd_sum() -> bool:
-    if oracles.gcd_sum_S(1, 1).total != 3 or oracles.gcd_sum_S(2, 2).total != 29:
-        return False
-    a = oracles.gcd_sum_S(7, 9, order="uvw").total
-    b = oracles.gcd_sum_S(7, 9, order="vwu").total
-    return a == b
-
-
-def _suite_floor_inequality() -> bool:
-    return all(
-        oracles.floor_inequality(e, f) for e in range(0, 80) for f in range(0, e + 1)
-    )
-
-
-def _suite_fejer() -> bool:
-    tw = weights.triangular_weight()
-    for t in (0.0, 0.3, 1.2, -2.7):
-        if abs(weights.fourier_numeric(tw, t).real - weights.h_hat(t)) > 1e-8:
-            return False
-    import numpy as np
-
-    ts = np.linspace(-30, 30, 2001)
-    return bool((weights.h_hat(ts) >= 0).all()) and weights.h_hat(0.0) == 1.0
-
-
-def _suite_kernel() -> bool:
-    for X in (10.0, 100.0):
-        plateau = 1.0 / math.log(X) ** 2
-        for t in (0.0, 0.5 * (1 - 1 / X), 1 - 1 / X):
-            if weights.kernel_k(t, X) != plateau:
-                return False
-    return True
-
-
-def _suite_cache(tmpdir: Path) -> bool:
-    c = cache_mod.cache_build(8, 20)
-    path = tmpdir / "verify.apcache"
-    cache_mod.cache_save(c, path)
-    loaded = cache_mod.cache_load(path)
-    if len(loaded) != len(c) or not (loaded.records == c.records).all():
-        return False
-    # fault injection: a corrupted a_p must be rejected by the Hasse check
-    raw = bytearray(path.read_bytes())
-    raw[-8:] = (10**6).to_bytes(8, "little", signed=True)
-    bad = tmpdir / "corrupt.apcache"
-    bad.write_bytes(bytes(raw))
-    try:
-        cache_mod.cache_load(bad)
-    except cache_mod.CorruptCacheError:
-        return True
-    return False
-
-
-def _suite_sieve_indicator() -> bool:
-    T, N = 1e10, 1
-    cut = math.log(math.log(T))
-    ps = [p for p in sieve_primes(int(cut)) if p > 2]
-    for n in range(1, 600, 2):
-        direct = 0 if any(n % (p * p) == 0 for p in ps) else 1
-        if twists.sieve_indicator_X(n, T, N) != direct:
-            return False
-    return True
-
-
-def _suite_poisson() -> bool:
-    w = weights.bump(1.0, 2.0)
-    try:
-        twists.poisson_twist_check(w, 1, 5, 200.0)
-        twists.poisson_twist_check(w, 8, 5, 200.0)
-    except twists.IdentityViolatedError:
-        return False
-    return True
-
-
 def cmd_verify(args) -> int:
-    import tempfile
+    from .verify import SUITES
 
-    # the suites above read these engine modules as globals of this module
-    global cache_mod, oracles, sieve_primes, sigma_p, sigma_p_charsum, twists, weights
-    from . import cache as cache_mod
-    from . import oracles, twists, weights
-    from .arith import sieve_primes
-    from .curves import sigma_p, sigma_p_charsum
-
-    suites = [
-        ("traces", _suite_traces),
-        ("ramanujan", _suite_ramanujan),
-        ("gcd-sum", _suite_gcd_sum),
-        ("floor-inequality", _suite_floor_inequality),
-        ("fejer", _suite_fejer),
-        ("kernel", _suite_kernel),
-        ("sieve-indicator", _suite_sieve_indicator),
-        ("poisson", _suite_poisson),
-    ]
     failed = []
-    with tempfile.TemporaryDirectory() as td:
-        suites.append(("cache", lambda: _suite_cache(Path(td))))
-        for name, fn in suites:
-            ok = fn()
-            print(f"{'PASS' if ok else 'FAIL'} {name}")
-            if not ok:
-                failed.append(name)
+    for name, fn in SUITES:
+        ok = fn()
+        print(f"{'PASS' if ok else 'FAIL'} {name}")
+        if not ok:
+            failed.append(name)
     if failed:
         print("failing suites: " + ", ".join(failed), file=sys.stderr)
         return EXIT_VERIFY_FAILED

@@ -46,7 +46,6 @@ multiply per cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -78,31 +77,34 @@ def discriminant(r: int, s: int) -> int:
     return -16 * (4 * r**3 + 27 * s**2)
 
 
-@dataclass(frozen=True)
 class Curve:
-    r: int
-    s: int
-    delta: int = field(init=False)
+    """y^2 = x^3 + r x + s, with its discriminant."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", discriminant(self.r, self.s))
+    __slots__ = ("r", "s", "delta")
+
+    def __init__(self, r: int, s: int):
+        self.r = r
+        self.s = s
+        self.delta = discriminant(r, s)
 
     @property
     def singular(self) -> bool:
         return self.delta == 0
 
 
-@dataclass(frozen=True)
 class TraceData:
-    p: int
-    ap: int
-    bad: bool  # true iff p divides the discriminant of the minimal model
+    """a_p of a minimal model; bad is true iff p divides its discriminant."""
 
-    def __post_init__(self):
-        if self.ap * self.ap > 4 * self.p:
-            raise ValueError(f"Hasse bound violated: a_{self.p} = {self.ap}")
-        if self.bad and self.ap not in (-1, 0, 1):
-            raise ValueError(f"bad prime {self.p} must have a_p in {{-1,0,1}}")
+    __slots__ = ("p", "ap", "bad")
+
+    def __init__(self, p: int, ap: int, bad: bool):
+        if ap * ap > 4 * p:
+            raise ValueError(f"Hasse bound violated: a_{p} = {ap}")
+        if bad and ap not in (-1, 0, 1):
+            raise ValueError(f"bad prime {p} must have a_p in {{-1,0,1}}")
+        self.p = p
+        self.ap = ap
+        self.bad = bad
 
 
 def _valuation(n: int, p: int) -> int:

@@ -36,7 +36,6 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -91,17 +90,27 @@ def int_root(x: float, k: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
 class FamilyParams:
-    T: float
-    weight_r: SmoothWeight = field(default_factory=even_bump)
-    weight_s: SmoothWeight = field(default_factory=even_bump)
-    minimal_only: bool = True
-    exclude_singular: bool = True
+    """The weighted box: T, the r and s weights (a fresh even_bump each when
+    not given) and the singularity / minimality filters."""
 
-    def __post_init__(self):
-        if self.T < 1:
+    __slots__ = ("T", "weight_r", "weight_s", "minimal_only", "exclude_singular")
+
+    def __init__(
+        self,
+        T: float,
+        weight_r: SmoothWeight | None = None,
+        weight_s: SmoothWeight | None = None,
+        minimal_only: bool = True,
+        exclude_singular: bool = True,
+    ):
+        if T < 1:
             raise ValueError("FamilyParams requires T >= 1")
+        self.T = T
+        self.weight_r = even_bump() if weight_r is None else weight_r
+        self.weight_s = even_bump() if weight_s is None else weight_s
+        self.minimal_only = minimal_only
+        self.exclude_singular = exclude_singular
 
 
 def enumerate_D(T: float) -> Iterator[Curve]:
@@ -134,16 +143,19 @@ def weight_wT(curve: Curve, params: FamilyParams) -> float:
 # product grids (the batch workhorse)
 
 
-@dataclass(frozen=True)
 class BoxGrid:
     """A filtered product family: the curve (rv[i], sv[j]) belongs iff keep[i, j].
 
-    cells() lists the members row-major in (r, s) as flat arrays.
+    keep is bool of shape (len(rv), len(sv)); cells() lists the members
+    row-major in (r, s) as flat arrays.
     """
 
-    rv: np.ndarray
-    sv: np.ndarray
-    keep: np.ndarray  # bool, shape (len(rv), len(sv))
+    __slots__ = ("rv", "sv", "keep")
+
+    def __init__(self, rv: np.ndarray, sv: np.ndarray, keep: np.ndarray):
+        self.rv = rv
+        self.sv = sv
+        self.keep = keep
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.keep))
@@ -395,28 +407,58 @@ def _conductor_grid(grid: BoxGrid) -> np.ndarray:
     return _add_leftover(R, rem, logn)
 
 
-@dataclass
 class RankBoundReport:
-    """Per-curve rank-bound terms plus weighted family aggregates."""
+    """Per-curve rank-bound terms plus weighted family aggregates.
 
-    T: float
-    X: float
-    C0: float
-    r: np.ndarray
-    s: np.ndarray
-    weight: np.ndarray
-    logN_term: np.ndarray
-    U1_term: np.ndarray
-    U2_term: np.ndarray
-    bound: np.ndarray
-    S_T: float
-    avg_logN_term: float
-    avg_U1_term: float
-    avg_U2_term: float
-    avg_bound: float
-    u1_over_logX: float  # weighted avg of raw U1, divided by log X
-    u2_over_logX: float  # weighted avg of raw U2, divided by log X (near 1/4 in the limit)
-    caveat: str = CAVEAT
+    u1_over_logX and u2_over_logX are the weighted averages of raw U1 and
+    U2 divided by log X (U2's is near 1/4 in the limit).
+    """
+
+    __slots__ = (
+        "T", "X", "C0", "r", "s", "weight", "logN_term", "U1_term", "U2_term", "bound",
+        "S_T", "avg_logN_term", "avg_U1_term", "avg_U2_term", "avg_bound",
+        "u1_over_logX", "u2_over_logX", "caveat",
+    )
+
+    def __init__(
+        self,
+        T: float,
+        X: float,
+        C0: float,
+        r: np.ndarray,
+        s: np.ndarray,
+        weight: np.ndarray,
+        logN_term: np.ndarray,
+        U1_term: np.ndarray,
+        U2_term: np.ndarray,
+        bound: np.ndarray,
+        S_T: float,
+        avg_logN_term: float,
+        avg_U1_term: float,
+        avg_U2_term: float,
+        avg_bound: float,
+        u1_over_logX: float,
+        u2_over_logX: float,
+        caveat: str = CAVEAT,
+    ):
+        self.T = T
+        self.X = X
+        self.C0 = C0
+        self.r = r
+        self.s = s
+        self.weight = weight
+        self.logN_term = logN_term
+        self.U1_term = U1_term
+        self.U2_term = U2_term
+        self.bound = bound
+        self.S_T = S_T
+        self.avg_logN_term = avg_logN_term
+        self.avg_U1_term = avg_U1_term
+        self.avg_U2_term = avg_U2_term
+        self.avg_bound = avg_bound
+        self.u1_over_logX = u1_over_logX
+        self.u2_over_logX = u2_over_logX
+        self.caveat = caveat
 
 
 def _wavg(w: np.ndarray, x: np.ndarray, wsum: float) -> float:

@@ -10,7 +10,6 @@ alongside for comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -142,23 +141,42 @@ def optimal_k(R: int) -> int:
     return max(1, (R - 3) // 12)
 
 
-@dataclass(frozen=True)
 class CensusRow:
-    R: int
-    census: int  # curves in C(T) whose rank_bound proxy is >= R
-    markov_bound: float | None  # Markov density bound at the optimal k, if admissible
-    reference: float
+    """census counts the curves in C(T) whose rank_bound proxy is >= R;
+    markov_bound is the Markov density bound at the optimal k, or None
+    where it is not admissible."""
+
+    __slots__ = ("R", "census", "markov_bound", "reference")
+
+    def __init__(self, R: int, census: int, markov_bound: float | None, reference: float):
+        self.R = R
+        self.census = census
+        self.markov_bound = markov_bound
+        self.reference = reference
 
 
-@dataclass(frozen=True)
 class MomentReport:
-    T: float
-    X: float
-    C0: float
-    rows: tuple[CensusRow, ...]
-    rank_cutoff: float  # 11 log T / log log T
-    n_C: int
-    n_D: int
+    """The census rows of one (T, X, C0); rank_cutoff is 11 log T / log log T."""
+
+    __slots__ = ("T", "X", "C0", "rows", "rank_cutoff", "n_C", "n_D")
+
+    def __init__(
+        self,
+        T: float,
+        X: float,
+        C0: float,
+        rows: tuple[CensusRow, ...],
+        rank_cutoff: float,
+        n_C: int,
+        n_D: int,
+    ):
+        self.T = T
+        self.X = X
+        self.C0 = C0
+        self.rows = rows
+        self.rank_cutoff = rank_cutoff
+        self.n_C = n_C
+        self.n_D = n_D
 
 
 def high_rank_census(

@@ -9,12 +9,14 @@ code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .arith import factorize, ramanujan_sum
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "GcdSumResult",
@@ -32,12 +34,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GcdSumResult:
-    U: int
-    V: int
-    total: int
-    bound_ratio: float  # total / (U^1.01 * V * (U^2 + V))
+    """S(U, V) and its bound_ratio, total / (U^1.01 * V * (U^2 + V))."""
+
+    __slots__ = ("U", "V", "total", "bound_ratio")
+
+    def __init__(self, U: int, V: int, total: int, bound_ratio: float):
+        self.U = U
+        self.V = V
+        self.total = total
+        self.bound_ratio = bound_ratio
 
 
 def gcd_sum_S(U: int, V: int, order: str = "uvw") -> GcdSumResult:
@@ -97,6 +103,8 @@ def f_of(d: int) -> int:
 
 def g_of(d: int) -> Fraction:
     """prod p^(floor(e/3) - ceil(e/2)), an exact rational (usually < 1)."""
+    from fractions import Fraction
+
     if d < 1:
         raise ValueError("requires d >= 1")
     out = Fraction(1)
@@ -148,6 +156,8 @@ def dirichlet_tail_check(U: int) -> tuple[int, Fraction]:
     estimates get sanity-checked.  For U = 2 the range is d in {1, 2, 3, 4}
     and the sums are 1+1+1+2 = 5 and 1 + 1/2 + 1/3 + 1/2 = 7/3.
     """
+    from fractions import Fraction
+
     if U < 1:
         raise ValueError("requires U >= 1")
     sum_f = sum(f_of(d) for d in range(1, U * U + 1))

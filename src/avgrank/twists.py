@@ -25,7 +25,6 @@ numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -68,29 +67,44 @@ class IdentityViolatedError(RuntimeError):
     """Both sides of the dual-sum identity disagree beyond tolerance."""
 
 
-@dataclass(frozen=True)
 class TwistFamily:
-    base: Curve
-    N: int  # conductor of the base curve (supplied or surrogate)
-    w: int  # root number of the base curve, +-1 (supplied)
-    sign: int  # which of the two root-number classes to enumerate
-    weight: SmoothWeight
-    class_triple: tuple[int, int, int] | None = None  # optional (k, delta, e) filter
+    """The twists of base with root number sign, weighted by weight(D / T).
 
-    def __post_init__(self):
-        if self.w not in (-1, 1) or self.sign not in (-1, 1):
+    N is the conductor of the base curve (supplied or surrogate), w its
+    root number (+-1, supplied); class_triple is an optional (k, delta, e)
+    filter.
+    """
+
+    __slots__ = ("base", "N", "w", "sign", "weight", "class_triple")
+
+    def __init__(
+        self,
+        base: Curve,
+        N: int,
+        w: int,
+        sign: int,
+        weight: SmoothWeight,
+        class_triple: tuple[int, int, int] | None = None,
+    ):
+        if w not in (-1, 1) or sign not in (-1, 1):
             raise ValueError("w and sign must be +-1")
-        if self.N < 1:
+        if N < 1:
             raise ValueError("N must be positive")
-        lo, hi = self.weight.support
+        lo, hi = weight.support
         if not (hi <= 0 or lo >= 0):
             raise ValueError("twist weight support must avoid 0")
-        if self.class_triple is not None:
-            k, delta, e = self.class_triple
+        if class_triple is not None:
+            k, delta, e = class_triple
             if k not in (1, 3, 5, 7) or delta not in (-1, 1) or e not in (0, 2, 3):
-                raise ValueError(f"invalid class triple {self.class_triple}")
+                raise ValueError(f"invalid class triple {class_triple}")
             if (delta > 0) != (lo >= 0):
                 raise ValueError("weight support sign must match delta")
+        self.base = base
+        self.N = N
+        self.w = w
+        self.sign = sign
+        self.weight = weight
+        self.class_triple = class_triple
 
 
 def twist_curve(base: Curve, D: int) -> Curve:
@@ -144,7 +158,6 @@ def _squarefree_flags(lo: int, hi: int, ps: tuple[int, ...]) -> np.ndarray:
     return sf
 
 
-@dataclass(frozen=True)
 class TwistBatch:
     """The fundamental discriminants of one weight support coprime to N.
 
@@ -154,15 +167,29 @@ class TwistBatch:
     root-number classes and any class filter of its (N, weight, T).
     """
 
-    N: int
-    weight: SmoothWeight
-    T: float
-    D: np.ndarray
-    weights: np.ndarray
-    twist_sign: np.ndarray
-    k: np.ndarray
-    delta: np.ndarray
-    e: np.ndarray
+    __slots__ = ("N", "weight", "T", "D", "weights", "twist_sign", "k", "delta", "e")
+
+    def __init__(
+        self,
+        N: int,
+        weight: SmoothWeight,
+        T: float,
+        D: np.ndarray,
+        weights: np.ndarray,
+        twist_sign: np.ndarray,
+        k: np.ndarray,
+        delta: np.ndarray,
+        e: np.ndarray,
+    ):
+        self.N = N
+        self.weight = weight
+        self.T = T
+        self.D = D
+        self.weights = weights
+        self.twist_sign = twist_sign
+        self.k = k
+        self.delta = delta
+        self.e = e
 
     def select(self, family: TwistFamily, T: float) -> np.ndarray:
         """Mask of the rows enumerate_T_pm(family, T) emits."""
@@ -316,31 +343,65 @@ def sieve_indicator_X(n: int, T: float, N: int) -> int:
     return sum(moebius(d) for d in divisors if n % (d * d) == 0)
 
 
-@dataclass
 class TwistReport:
-    """Per-discriminant rank-bound terms and family aggregates for one sign."""
+    """Per-discriminant rank-bound terms and family aggregates for one sign.
 
-    T: float
-    X: float
-    C0: float
-    sign: int
-    empty: bool
-    D: np.ndarray
-    weight: np.ndarray
-    logN_term: np.ndarray
-    U1_raw: np.ndarray
-    U2_raw: np.ndarray
-    bound: np.ndarray
-    logND2_term: np.ndarray  # diagnostic: log(N D^2) / log X upper bound
-    W_total: float
-    avg_logN_term: float
-    avg_U1_term: float
-    avg_U2_term: float
-    avg_bound: float
-    u1_over_logX: float
-    u2_over_logX: float
-    u2_deviation: float  # max |U2 - (log X)/4| / log log |D|
-    class_sign_map: dict = field(default_factory=dict)
+    logND2_term is a diagnostic, the log(N D^2) / log X upper bound;
+    u2_deviation is max |U2 - (log X)/4| / log log |D|; class_sign_map
+    is a fresh dict when not given.
+    """
+
+    __slots__ = (
+        "T", "X", "C0", "sign", "empty", "D", "weight", "logN_term", "U1_raw", "U2_raw",
+        "bound", "logND2_term", "W_total", "avg_logN_term", "avg_U1_term", "avg_U2_term",
+        "avg_bound", "u1_over_logX", "u2_over_logX", "u2_deviation", "class_sign_map",
+    )
+
+    def __init__(
+        self,
+        T: float,
+        X: float,
+        C0: float,
+        sign: int,
+        empty: bool,
+        D: np.ndarray,
+        weight: np.ndarray,
+        logN_term: np.ndarray,
+        U1_raw: np.ndarray,
+        U2_raw: np.ndarray,
+        bound: np.ndarray,
+        logND2_term: np.ndarray,
+        W_total: float,
+        avg_logN_term: float,
+        avg_U1_term: float,
+        avg_U2_term: float,
+        avg_bound: float,
+        u1_over_logX: float,
+        u2_over_logX: float,
+        u2_deviation: float,
+        class_sign_map: dict | None = None,
+    ):
+        self.T = T
+        self.X = X
+        self.C0 = C0
+        self.sign = sign
+        self.empty = empty
+        self.D = D
+        self.weight = weight
+        self.logN_term = logN_term
+        self.U1_raw = U1_raw
+        self.U2_raw = U2_raw
+        self.bound = bound
+        self.logND2_term = logND2_term
+        self.W_total = W_total
+        self.avg_logN_term = avg_logN_term
+        self.avg_U1_term = avg_U1_term
+        self.avg_U2_term = avg_U2_term
+        self.avg_bound = avg_bound
+        self.u1_over_logX = u1_over_logX
+        self.u2_over_logX = u2_over_logX
+        self.u2_deviation = u2_deviation
+        self.class_sign_map = {} if class_sign_map is None else class_sign_map
 
 
 def twist_average_experiment(

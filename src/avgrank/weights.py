@@ -17,7 +17,6 @@ rule serves the C-infinity bumps and the kinked piecewise-linear weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -47,13 +46,31 @@ _ROUNDING = 8 * np.finfo(np.float64).eps  # per-panel floor, relative to the int
 _MAX_SPLITS = 4096  # bisections before fourier_numeric gives up
 
 
-@dataclass(frozen=True)
 class SmoothWeight:
-    """Nonnegative weight, exactly zero outside its (closed) support."""
+    """Nonnegative weight, exactly zero outside its (closed) support.
 
-    support: tuple[float, float]
-    smoothness: str  # "triangular" | "C3" | "C-infinity"
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    smoothness is "triangular", "C3" or "C-infinity".  Weights compare and
+    hash by value: TwistBatch.select matches its (N, weight, T) by ==.
+    """
+
+    __slots__ = ("support", "smoothness", "evaluator")
+
+    def __init__(
+        self, support: tuple[float, float], smoothness: str, evaluator: Callable[[np.ndarray], np.ndarray]
+    ):
+        self.support = support
+        self.smoothness = smoothness
+        self.evaluator = evaluator
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.support, self.smoothness, self.evaluator) == (
+            other.support, other.smoothness, other.evaluator
+        )
+
+    def __hash__(self):
+        return hash((self.support, self.smoothness, self.evaluator))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -168,11 +185,23 @@ def plateau_bump(
 
 @lru_cache(maxsize=None)
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 10-point Gauss-Legendre rule on [-1, 1]."""
-    # imported here: numpy.polynomial is not loaded by `import numpy`
-    from numpy.polynomial.legendre import leggauss
+    """Nodes and weights of the 10-point Gauss-Legendre rule on [-1, 1].
 
-    return leggauss(10)
+    The literals are the values of numpy.polynomial.legendre.leggauss(10)
+    bit for bit (tests/test_weights.py checks it), so no process loads
+    numpy.polynomial or runs its eigensolve.
+    """
+    x = np.array([
+        -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+        -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+        0.8650633666889845, 0.9739065285171717,
+    ])
+    w = np.array([
+        0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+        0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+        0.1494513491505804, 0.06667134430868814,
+    ])
+    return x, w
 
 
 def _panel_sums(weight: SmoothWeight, t: float, a: np.ndarray, b: np.ndarray):

@@ -56,6 +56,12 @@ def test_cache_lookup_misses():
     assert ApCache(records=np.empty((0, 4), dtype=np.int64)).lookup(0, 1, 5) is None
 
 
+def test_apcache_requires_n_by_4_records():
+    for shape in ((3, 3), (12,), (2, 4, 1)):
+        with pytest.raises(ValueError, match=r"\(n, 4\)"):
+            ApCache(records=np.zeros(shape, dtype=np.int64))
+
+
 def test_cache_load_rejects_truncation(tmp_path):
     c = cache_build(10.0, 10.0)
     path = tmp_path / "c.apcache"
@@ -520,6 +526,8 @@ def _argv(cmd, tmp_path, *extra):
         ("density", ("--C0", "nan"), "--C0 must be a finite number"),
         ("density", ("--C0", "inf"), "--C0 must be a finite number"),
         ("density", ("--R-max", "-1"), "--R-max must be a nonnegative integer"),
+        ("average-rank", ("--threads", "0"), "--threads must be a positive integer"),
+        ("cache build", ("--threads", "-3"), "--threads must be a positive integer"),
     ],
 )
 def test_cli_bad_value_flag_exits_2_before_writing(tmp_path, capsys, cmd, flags, match):
@@ -546,6 +554,9 @@ def test_cli_bad_value_flag_exits_2_before_writing(tmp_path, capsys, cmd, flags,
         # rejected before the curve file is read, so it need not exist
         ("twists", '{"curve-file": "curves.txt", "base-index": "x"}', "--base-index must be an integer"),
         ("average-rank", '{"out-csv": 5}', "--out-csv must be a file path"),
+        ("density", '{"threads": "many"}', "--threads must be a positive integer"),
+        ("twists", '{"threads": true}', "--threads must be a positive integer"),
+        ("average-rank", '{"threads": 2.0}', "--threads must be a positive integer"),
     ],
 )
 def test_cli_bad_value_in_config_exits_2_before_writing(tmp_path, capsys, cmd, config, match):

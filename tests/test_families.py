@@ -80,6 +80,8 @@ def test_box_grid_matches_enumeration(T):
 def test_box_grid_requires_T_at_least_1():
     with pytest.raises(ValueError, match="T >= 1"):
         box_grid(0.5)
+    with pytest.raises(ValueError, match="T >= 1"):
+        FamilyParams(T=0.5)
 
 
 def test_family_grid_is_box_grid_on_weight_support():

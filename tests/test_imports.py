@@ -16,17 +16,26 @@ import pytest
 import avgrank
 
 ENGINE = ("avgrank.curves", "avgrank.families", "avgrank.twists")
+# standard-library modules that no numpy-free process needs: dataclasses
+# pulls in inspect (and ast, dis, tokenize); json is for JSON files only
+UNUSED_STDLIB = ("dataclasses", "inspect", "json")
+MODULES = (
+    "arith", "cache", "cli", "curves", "families", "moments", "oracles", "twists", "verify", "weights",
+)
 
 
 def _run(code: str, **env_overrides):
-    """Run code in a fresh interpreter and decode the JSON value it prints last."""
+    """Run code in a fresh interpreter and decode the value it passes to report()."""
     env = dict(os.environ, PYTHONPATH=str(Path(avgrank.__file__).parents[1]))
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(env_overrides)
     prelude = (
-        "import io, json, os, sys, contextlib\n"
+        "import io, os, sys, contextlib\n"
         "def loaded(*names):\n"
         "    return sorted(n for n in names if n in sys.modules)\n"
+        "def report(value):\n"
+        "    import json  # only now, so that loaded('json') sees the code's own imports\n"
+        "    print(json.dumps(value))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", prelude + code], capture_output=True, text=True, check=True, env=env
@@ -37,9 +46,16 @@ def _run(code: str, **env_overrides):
 def test_package_import_loads_no_submodule_and_no_numpy():
     got = _run(
         "import avgrank\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('avgrank', 'numpy')))))\n"
+        "report(sorted(m for m in sys.modules if m.startswith(('avgrank', 'numpy'))))\n"
     )
     assert got == ["avgrank"]
+
+
+def test_no_module_loads_dataclasses():
+    names = [f"avgrank.{m}" for m in MODULES]
+    imports = "".join(f"import {n}\n" for n in names)
+    got = _run(imports + f"report([loaded(*{names!r}), loaded('dataclasses')])\n")
+    assert got == [sorted(names), []]
 
 
 def test_help_and_bad_values_return_before_numpy_loads(tmp_path):
@@ -50,14 +66,15 @@ def test_help_and_bad_values_return_before_numpy_loads(tmp_path):
         f"    rc = cli.main(['density', '--T', 'nan', '--X', '100', '--out-csv', {str(tmp_path / 'd.csv')!r},\n"
         f"                   '--out-json', {str(tmp_path / 'd.json')!r}])\n"
         "    missing = [cli.main(['average-rank', '--T', '1e3']), cli.main(['cache', 'check'])]\n"
+        "    threads = cli.main(['verify', '--threads', '0'])\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    try:\n"
         "        cli.main(['--help'])\n"
         "    except SystemExit as exc:\n"
         "        help_code = exc.code\n"
-        "print(json.dumps([after_import, rc, missing, help_code, loaded('numpy')]))\n"
+        f"report([after_import, rc, missing, threads, help_code, loaded('numpy', *{UNUSED_STDLIB!r})])\n"
     )
-    assert got == [[], 2, [2, 2], 0, []]
+    assert got == [[], 2, [2, 2], 2, 0, []]
 
 
 @pytest.fixture
@@ -74,7 +91,7 @@ def test_cache_check_loads_no_engine(cache_file, tmp_path):
     corrupt = tmp_path / "corrupt.apcache"
     corrupt.write_bytes(bytes(raw))
     paths = [str(cache_file), str(corrupt), str(tmp_path / "missing.apcache")]
-    modules = (*ENGINE, "numpy")
+    modules = (*ENGINE, "numpy", *UNUSED_STDLIB)
     got = _run(
         "import avgrank.cache\n"
         f"after_import = loaded{modules!r}\n"
@@ -83,7 +100,7 @@ def test_cache_check_loads_no_engine(cache_file, tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    for path in {paths!r}:\n"
         "        codes.append(cli.main(['cache', 'check', '--path', path]))\n"
-        f"print(json.dumps([after_import, codes, loaded{modules!r}]))\n"
+        f"report([after_import, codes, loaded{modules!r}])\n"
     )
     assert got == [[], [0, 4, 2], []]
 
@@ -93,7 +110,7 @@ def test_cli_process_starts_no_blas_pool_unless_asked(cache_file):
         "from avgrank import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    cli.main(['cache', 'check', '--path', {str(cache_file)!r}])\n"
-        "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+        "report(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
     )
     assert _run(code) == "1"
     # a value the user set wins

@@ -31,7 +31,7 @@ from avgrank.twists import (
     twist_curve,
     twisted_pnt_sum,
 )
-from avgrank.weights import bump, triangular_weight
+from avgrank.weights import SmoothWeight, bump, triangular_weight
 
 
 def test_twist_curve_delta_scaling():
@@ -190,6 +190,12 @@ def test_twist_batch_must_match_the_family():
             twist_average_experiment(fam, 150.0, 50.0, batch=batch)
     rep = twist_average_experiment(fam, 150.0, 50.0, batch=twist_batch(49, fam.weight, 150.0))
     assert rep.D.tolist() == twist_average_experiment(fam, 150.0, 50.0).D.tolist()
+    # weights match by value: a copy with the same fields serves the family
+    w = fam.weight
+    copy = SmoothWeight(w.support, w.smoothness, w.evaluator)
+    assert copy == w and hash(copy) == hash(w)
+    rep = twist_average_experiment(fam, 150.0, 50.0, batch=twist_batch(49, copy, 150.0))
+    assert rep.D.tolist() == twist_average_experiment(fam, 150.0, 50.0).D.tolist()
 
 
 @pytest.mark.parametrize("T", [4000.0, 2e4])
@@ -221,6 +227,14 @@ def test_twist_family_validation():
         TwistFamily(base=base, N=49, w=2, sign=1, weight=bump(0.2, 1.0))
     with pytest.raises(ValueError):
         TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(-0.5, 0.5))
+    with pytest.raises(ValueError, match="sign"):
+        TwistFamily(base=base, N=49, w=1, sign=0, weight=bump(0.2, 1.0))
+    with pytest.raises(ValueError, match="N must be positive"):
+        TwistFamily(base=base, N=0, w=1, sign=1, weight=bump(0.2, 1.0))
+    with pytest.raises(ValueError, match="invalid class triple"):
+        TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.2, 1.0), class_triple=(2, 1, 0))
+    with pytest.raises(ValueError, match="must match delta"):
+        TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.2, 1.0), class_triple=(1, -1, 0))
 
 
 def test_twist_average_experiment_smoke():

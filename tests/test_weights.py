@@ -9,6 +9,7 @@ import pytest
 
 from avgrank.weights import (
     QuadratureError,
+    _gauss_legendre,
     SmoothWeight,
     bump,
     even_bump,
@@ -183,9 +184,18 @@ def test_fourier_numeric_matches_quad_oracle(weight, t):
     assert abs(got - _quad_oracle(weight, t)) <= 1e-10
 
 
+def test_gauss_legendre_literals_are_leggauss():
+    x, w = _gauss_legendre()
+    want_x, want_w = np.polynomial.legendre.leggauss(10)
+    assert x.dtype == w.dtype == np.float64
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # neither the CLI import nor a whole verify run, Fourier suites
-    # included, loads any scipy module
+    # included, loads any scipy module, nor numpy.polynomial (the
+    # Gauss-Legendre rule is literal), fractions (only two oracles use
+    # it) or dataclasses
     import avgrank
 
     env = dict(os.environ, PYTHONPATH=str(Path(avgrank.__file__).parents[1]))
@@ -194,7 +204,8 @@ def test_cli_import_leaves_out_scipy_integrate():
         "from avgrank import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    rc = cli.main(['verify'])\n"
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "names = ('numpy.polynomial', 'fractions', 'dataclasses')\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in names))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env

@@ -15,7 +15,9 @@ Every entry runs RUNS times per checkout.  Per entry the record holds
 the median wall time, every wall time, the median CPU time of the
 process (user + system, from os.wait4), the largest peak RSS (also from
 os.wait4) and a SHA-256 of the output files, so equal digests across
-checkouts show equal bytes.  The "help" entry is a bare process start.
+checkouts show equal bytes.  The "help" entry is a bare process start, and
+"cache build 60 30" a start that loads numpy and the trace engine for
+almost no work.
 The "cache check" entries read cache files that the first checkout builds
 once per ladder run, before any timed run.  Only the standard
 library is used, and the script keeps its own memory small: with vfork,
@@ -54,6 +56,7 @@ LADDER = {
         "twists --r 1 --s 1 --N 49 --w 1 --T 2e4 --X 300 "
         "--out-csv {out}/twists.csv --out-json {out}/twists.json"
     ),
+    "cache build 60 30": "cache build --T 60 --X 30 --out {out}/ap.apcache",
     "cache build 1e4 300": "cache build --T 1e4 --X 300 --out {out}/ap.apcache",
     "cache check 1e3 100": "cache check --path {fixtures}/ap-1e3-100.apcache",
     "cache check 1e4 300": "cache check --path {fixtures}/ap-1e4-300.apcache",
