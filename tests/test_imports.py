@@ -118,10 +118,7 @@ def test_cli_process_starts_no_blas_pool_unless_asked(cache_file):
 
 
 def test_public_names_resolve_to_their_submodule():
-    submodules = [
-        importlib.import_module(f"avgrank.{m}")
-        for m in ("arith", "cache", "curves", "families", "moments", "oracles", "twists", "weights")
-    ]
+    submodules = [importlib.import_module(f"avgrank.{m}") for m in MODULES]
     listing = dir(avgrank)
     assert avgrank.__all__ and len(set(avgrank.__all__)) == len(avgrank.__all__)
     for name in avgrank.__all__:

@@ -9,8 +9,8 @@ import pytest
 
 from avgrank.weights import (
     QuadratureError,
-    _gauss_legendre,
     SmoothWeight,
+    _gauss_legendre,
     bump,
     even_bump,
     fourier_numeric,
