@@ -1,11 +1,12 @@
 """Command-line driver.
 
 Subcommands: average-rank, density, twists, verify, cache.  Rows go to
-CSV (schema-stable headers), aggregates to JSON; with a fixed
-configuration every command writes byte-identical output regardless of
-the --threads setting.  Configuration comes from flags plus an optional
-JSON config file, with flags winning; environment variables are never
-consulted.
+CSV (schema-stable headers) through one block writer, aggregates to
+JSON; with a fixed configuration every command writes byte-identical
+output regardless of the --threads setting.  Configuration comes from
+flags plus an optional JSON config file, with flags winning, and each
+option has one kind in OPTIONS, which sets the flag's type and checks
+flag and config values alike; environment variables are never consulted.
 
 This module imports only the standard library, and json only where a
 JSON file is read or written; each subcommand imports the engine modules
@@ -35,20 +36,47 @@ EXIT_BAD_CONFIG = 2
 EXIT_EMPTY_FAMILY = 3
 EXIT_VERIFY_FAILED = 4
 
+# CSV headers and row formats: %r of a Python float is its repr, which
+# round-trips and is locale-independent
 AVERAGE_RANK_HEADER = "r,s,logN_term,U1_term,U2_term,bound"
 AVERAGE_RANK_ROW = "%d,%d,%r,%r,%r,%r\n"
 DENSITY_HEADER = "R,census,markov_bound,reference_decay"
+DENSITY_ROW = "%d,%d,%s,%r\n"
 TWISTS_HEADER = "D,sign,weight,logN_term,U1_term,U2_term,bound"
+TWISTS_ROW = "%d,%d,%r,%r,%r,%r,%r\n"
 CSV_BLOCK = 1024
+
+# option (argparse dest) -> kind; _check_values reports the first bad
+# value in this order
+OPTIONS = {
+    "T": "number", "X": "number", "C0": "number",
+    "r": "integer", "s": "integer", "N": "integer", "w": "integer", "base_index": "integer",
+    "R_max": "nonnegative", "threads": "positive",
+    "curve_file": "file", "path": "file", "config": "file",
+    "out": "output", "out_csv": "output", "out_json": "output",
+}
+# kind -> (argparse type, what a value must be)
+KINDS = {
+    "number": (float, "a finite number"),
+    "integer": (int, "an integer"),
+    "nonnegative": (int, "a nonnegative integer"),
+    "positive": (int, "a positive integer"),
+    "file": (None, "a file path"),
+    "output": (None, "a file path"),
+}
+HELP = {
+    "curve_file": "curve-data file: lines 'r s N w'",
+    "config": "JSON config file; explicit flags win",
+    "threads": "accepted and has no effect",
+}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    """Stable float formatting: repr round-trips and is locale-independent."""
-    return repr(float(x))
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _finite_or_none(x: float) -> float | None:
@@ -56,12 +84,31 @@ def _finite_or_none(x: float) -> float | None:
     return None if math.isnan(x) else x
 
 
-def _write_json(path: Path, obj) -> None:
+def _write_csv(path: str, header: str, row: str, cols) -> None:
+    """Write header, then one row per index of the equal-length arrays cols.
+
+    Rows go in blocks of CSV_BLOCK: tolist() makes one Python object per
+    value of a block, never of the whole file, and one % formats the block.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(cols[0]), CSV_BLOCK):
+            block = [c[i : i + CSV_BLOCK].tolist() for c in cols]
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+
+
+def _write_outputs(args, header: str, row: str, cols, summary: dict) -> None:
+    """Write the rows to --out-csv and the summary to --out-json.
+
+    The summary is serialised before either file is opened, so a value
+    that is not a finite float (json raises ValueError) leaves no file.
+    """
     import json
 
-    with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(summary, sort_keys=True, indent=2, separators=(",", ": "), allow_nan=False)
+    _write_csv(args.out_csv, header, row, cols)
+    with open(args.out_json, "w", newline="\n") as fh:
+        fh.write(text + "\n")
 
 
 def load_curve_data(path: str | Path) -> list[tuple[Curve, int, int]]:
@@ -126,51 +173,44 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             setattr(args, attr, val)
 
 
-def _check_values(args: argparse.Namespace) -> None:
-    """T, X and C0 must be finite numbers, r, s, N, w and base-index
-    integers (not bool), R-max a nonnegative and threads a positive
-    integer, and file options strings; an output file must go into an
-    existing directory.
-
-    Runs after the config file is applied, so it sees both sources; json
-    reads NaN and Infinity as floats.  A bad value fails before any work
-    and before any file is written.
-    """
-    for name in ("T", "X", "C0"):
-        val = getattr(args, name, None)
-        if val is None:
-            continue
+def _valid(kind: str, val) -> bool:
+    """Whether val is of the option kind; json reads NaN and Infinity as
+    floats, and a bool is no integer here."""
+    if kind == "number":
         try:
-            ok = math.isfinite(float(val))
+            return math.isfinite(float(val))
         except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ConfigError(f"--{name} must be a finite number, got {val!r}")
-    for name in ("r", "s", "N", "w", "base_index"):
-        val = getattr(args, name, None)
-        if val is not None and type(val) is not int:
-            raise ConfigError(f"--{name.replace('_', '-')} must be an integer, got {val!r}")
-    val = getattr(args, "R_max", None)
-    if val is not None and not (type(val) is int and val >= 0):
-        raise ConfigError(f"--R-max must be a nonnegative integer, got {val!r}")
-    val = getattr(args, "threads", None)
-    if val is not None and not (type(val) is int and val >= 1):
-        raise ConfigError(f"--threads must be a positive integer, got {val!r}")
-    for name in ("curve_file", "path", "out", "out_csv", "out_json"):
+            return False
+    if kind in ("file", "output"):
+        return isinstance(val, str)
+    if kind == "nonnegative":
+        return type(val) is int and val >= 0
+    if kind == "positive":
+        return type(val) is int and val >= 1
+    return type(val) is int
+
+
+def _check_values(args: argparse.Namespace) -> None:
+    """Every option that is set must be of its kind in OPTIONS, and an
+    output file must go into an existing directory.
+
+    Runs after the config file is applied, so it sees both sources.  A bad
+    value fails before any work and before any file is written.
+    """
+    for name, kind in OPTIONS.items():
         val = getattr(args, name, None)
         if val is None:
             continue
-        flag = "--" + name.replace("_", "-")
-        if not isinstance(val, str):
-            raise ConfigError(f"{flag} must be a file path, got {val!r}")
-        if name.startswith("out") and (Path(val).is_dir() or not Path(val).parent.is_dir()):
-            raise ConfigError(f"{flag} {val}: not a file in an existing directory")
+        if not _valid(kind, val):
+            raise ConfigError(f"{_flag(name)} must be {KINDS[kind][1]}, got {val!r}")
+        if kind == "output" and (Path(val).is_dir() or not Path(val).parent.is_dir()):
+            raise ConfigError(f"{_flag(name)} {val}: not a file in an existing directory")
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
     for n in names:
         if getattr(args, n) is None:
-            raise ConfigError(f"missing required option --{n.replace('_', '-')}")
+            raise ConfigError(f"missing required option {_flag(n)}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,67 +229,54 @@ def cmd_average_rank(args) -> int:
         if "empty family" in str(exc):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_EMPTY_FAMILY
-        raise ConfigError(str(exc)) from exc
-    cols = (report.r, report.s, report.logN_term, report.U1_term, report.U2_term, report.bound)
-    with open(args.out_csv, "w", newline="\n") as fh:
-        fh.write(AVERAGE_RANK_HEADER + "\n")
-        # blocks of tolist() rows: one Python object per value, never the
-        # whole file; one % formats a block, with %r as repr of each float
-        for i in range(0, len(report.r), CSV_BLOCK):
-            block = [c[i : i + CSV_BLOCK].tolist() for c in cols]
-            fmt = AVERAGE_RANK_ROW * len(block[0])
-            fh.write(fmt % tuple(chain.from_iterable(zip(*block))))
+        raise
     n = len(report.r)
-    _write_json(
-        Path(args.out_json),
-        {
-            "T": report.T,
-            "X": report.X,
-            "C0": report.C0,
-            "n_curves": n,
-            "S_T": report.S_T,
-            "avg_logN_term": report.avg_logN_term,
-            "avg_U1_term": report.avg_U1_term,
-            "avg_U2_term": report.avg_U2_term,
-            "avg_bound": report.avg_bound,
-            "u1_over_logX": report.u1_over_logX,
-            "u2_over_logX": report.u2_over_logX,
-            "mean_logN_term": math.fsum(report.logN_term.tolist()) / n,
-            "mean_U1_term": math.fsum(report.U1_term.tolist()) / n,
-            "mean_U2_term": math.fsum(report.U2_term.tolist()) / n,
-            "mean_bound": math.fsum(report.bound.tolist()) / n,
-            "caveat": report.caveat,
-        },
-    )
+    summary = {
+        "T": report.T,
+        "X": report.X,
+        "C0": report.C0,
+        "n_curves": n,
+        "S_T": report.S_T,
+        "avg_logN_term": report.avg_logN_term,
+        "avg_U1_term": report.avg_U1_term,
+        "avg_U2_term": report.avg_U2_term,
+        "avg_bound": report.avg_bound,
+        "u1_over_logX": report.u1_over_logX,
+        "u2_over_logX": report.u2_over_logX,
+        "caveat": report.caveat,
+    }
+    cols = (report.r, report.s, report.logN_term, report.U1_term, report.U2_term, report.bound)
+    for name in ("logN_term", "U1_term", "U2_term", "bound"):
+        summary[f"mean_{name}"] = math.fsum(getattr(report, name).tolist()) / n
+    _write_outputs(args, AVERAGE_RANK_HEADER, AVERAGE_RANK_ROW, cols, summary)
     return EXIT_OK
 
 
 def cmd_density(args) -> int:
     _require(args, "T", "X", "out_csv", "out_json")
+    import numpy as np
+
     from . import moments
 
     C0 = float(args.C0 or 0.0)
     R_max = int(args.R_max if args.R_max is not None else 8)
-    try:
-        report = moments.high_rank_census(float(args.T), float(args.X), C0, R_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    with open(args.out_csv, "w", newline="\n") as fh:
-        fh.write(DENSITY_HEADER + "\n")
-        for row in report.rows:
-            mb = "" if row.markov_bound is None else _fmt(row.markov_bound)
-            fh.write(f"{row.R},{row.census},{mb},{_fmt(row.reference)}\n")
-    _write_json(
-        Path(args.out_json),
-        {
-            "T": report.T,
-            "X": report.X,
-            "C0": report.C0,
-            "n_C": report.n_C,
-            "n_D": report.n_D,
-            "rank_cutoff": report.rank_cutoff,
-        },
+    report = moments.high_rank_census(float(args.T), float(args.X), C0, R_max)
+    summary = {
+        "T": report.T,
+        "X": report.X,
+        "C0": report.C0,
+        "n_C": report.n_C,
+        "n_D": report.n_D,
+        "rank_cutoff": report.rank_cutoff,
+    }
+    rows = report.rows
+    cols = (
+        np.array([row.R for row in rows]),
+        np.array([row.census for row in rows]),
+        np.array(["" if row.markov_bound is None else repr(float(row.markov_bound)) for row in rows]),
+        np.array([row.reference for row in rows]),
     )
+    _write_outputs(args, DENSITY_HEADER, DENSITY_ROW, cols, summary)
     return EXIT_OK
 
 
@@ -263,6 +290,8 @@ def cmd_twists(args) -> int:
     # checked before numpy loads and before anything is sieved
     if not 1 < X <= T * T:
         raise ConfigError("twists requires 1 < X <= T^2")
+    import numpy as np
+
     from . import twists, weights
     from .arith import sieve_primes
     from .curves import Curve
@@ -283,30 +312,12 @@ def cmd_twists(args) -> int:
     primes = sieve_primes(int(X))
     reports = {1: [], -1: []}
     unsigned = []
-    try:
-        for wgt in (weights.bump(0.5, 1.0), weights.bump(-1.0, -0.5)):
-            batch = twists.twist_batch(N, wgt, T)
-            unsigned.append(batch.weights)
-            for sign, pair in reports.items():
-                fam = twists.TwistFamily(base=base, N=N, w=w, sign=sign, weight=wgt)
-                pair.append(twists.twist_average_experiment(fam, T, X, C0, primes, batch))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    with open(args.out_csv, "w", newline="\n") as fh:
-        fh.write(TWISTS_HEADER + "\n")
-        rows = []
+    for wgt in (weights.bump(0.5, 1.0), weights.bump(-1.0, -0.5)):
+        batch = twists.twist_batch(N, wgt, T)
+        unsigned.append(batch.weights)
         for sign, pair in reports.items():
-            for rep in pair:
-                cols = (rep.weight, rep.logN_term, rep.U1_raw, rep.U2_raw, rep.bound)
-                rows.extend(
-                    (D, sign, *vals)
-                    for D, *vals in zip(rep.D.tolist(), *(c.tolist() for c in cols))
-                )
-        rows.sort()
-        for D, sign, wv, lt, u1, u2, b in rows:
-            fh.write(
-                f"{D},{sign},{_fmt(wv)},{_fmt(lt)},{_fmt(u1)},{_fmt(u2)},{_fmt(b)}\n"
-            )
+            fam = twists.TwistFamily(base=base, N=N, w=w, sign=sign, weight=wgt)
+            pair.append(twists.twist_average_experiment(fam, T, X, C0, primes, batch))
     # partition check: the two signed weight totals must exhaust the
     # unsigned total over all admissible discriminants, summed left to
     # right in increasing D, positive support first
@@ -314,16 +325,14 @@ def cmd_twists(args) -> int:
     for batch_weights in unsigned:
         for wv in batch_weights.tolist():
             unsigned_total += wv
-    W_plus = math.fsum(r.W_total for r in reports[1])
-    W_minus = math.fsum(r.W_total for r in reports[-1])
-    avg_plus = math.fsum(
-        r.W_total * r.avg_bound for r in reports[1] if not r.empty
-    ) / W_plus if W_plus > 0 else math.nan
-    avg_minus = math.fsum(
-        r.W_total * r.avg_bound for r in reports[-1] if not r.empty
-    ) / W_minus if W_minus > 0 else math.nan
-    if W_plus > 0 and W_minus > 0:
-        prop0, prop1 = twists.theorem4_proportions(max(avg_plus, 0.0), max(avg_minus, 0.0))
+    W, avg = {}, {}
+    for sign, pair in reports.items():
+        W[sign] = math.fsum(r.W_total for r in pair)
+        avg[sign] = math.nan
+        if W[sign] > 0:
+            avg[sign] = math.fsum(r.W_total * r.avg_bound for r in pair if not r.empty) / W[sign]
+    if W[1] > 0 and W[-1] > 0:
+        prop0, prop1 = twists.theorem4_proportions(max(avg[1], 0.0), max(avg[-1], 0.0))
     else:
         prop0 = prop1 = math.nan
     class_map = {}
@@ -332,25 +341,32 @@ def cmd_twists(args) -> int:
             for triple, signs in rep.class_sign_map.items():
                 key = f"{triple[0]},{triple[1]},{triple[2]}"
                 class_map.setdefault(key, set()).update(signs)
-    _write_json(
-        Path(args.out_json),
-        {
-            "T": T,
-            "X": X,
-            "C0": C0,
-            "base": {"r": base.r, "s": base.s, "N": N, "w": w},
-            "W_plus": W_plus,
-            "W_minus": W_minus,
-            "W_unsigned": unsigned_total,
-            "partition_gap": abs(unsigned_total - W_plus - W_minus),
-            "avg_bound_plus": _finite_or_none(avg_plus),
-            "avg_bound_minus": _finite_or_none(avg_minus),
-            "proportion_rank0_lower": _finite_or_none(prop0),
-            "proportion_rank1_lower": _finite_or_none(prop1),
-            "class_sign_map": {k: sorted(v) for k, v in sorted(class_map.items())},
-        },
-    )
-    if W_plus == 0 and W_minus == 0:
+    summary = {
+        "T": T,
+        "X": X,
+        "C0": C0,
+        "base": {"r": base.r, "s": base.s, "N": N, "w": w},
+        "W_plus": W[1],
+        "W_minus": W[-1],
+        "W_unsigned": unsigned_total,
+        "partition_gap": abs(unsigned_total - W[1] - W[-1]),
+        "avg_bound_plus": _finite_or_none(avg[1]),
+        "avg_bound_minus": _finite_or_none(avg[-1]),
+        "proportion_rank0_lower": _finite_or_none(prop0),
+        "proportion_rank1_lower": _finite_or_none(prop1),
+        "class_sign_map": {k: sorted(v) for k, v in sorted(class_map.items())},
+    }
+    # the rows of all four reports, ordered by (D, sign)
+    parts = [(sign, rep) for sign, pair in reports.items() for rep in pair]
+    D = np.concatenate([rep.D for _, rep in parts])
+    signs = np.concatenate([np.full(len(rep.D), sign) for sign, rep in parts])
+    order = np.lexsort((signs, D))
+    cols = [D[order], signs[order]] + [
+        np.concatenate([getattr(rep, name) for _, rep in parts])[order]
+        for name in ("weight", "logN_term", "U1_raw", "U2_raw", "bound")
+    ]
+    _write_outputs(args, TWISTS_HEADER, TWISTS_ROW, cols, summary)
+    if W[1] == 0 and W[-1] == 0:
         print("error: empty twist family", file=sys.stderr)
         return EXIT_EMPTY_FAMILY
     return EXIT_OK
@@ -376,21 +392,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    from . import cache as cache_mod  # numpy loads only in cache_build
+
     if args.cache_cmd == "build":
         _require(args, "T", "X", "out")
-        from . import cache as cache_mod
-
-        try:
-            c = cache_mod.cache_build(float(args.T), float(args.X))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        c = cache_mod.cache_build(float(args.T), float(args.X))
         cache_mod.cache_save(c, args.out)
         print(f"wrote {len(c)} records to {args.out}")
         return EXIT_OK
     if args.cache_cmd == "check":
         _require(args, "path")
-        from . import cache as cache_mod
-
         try:
             n = cache_mod.cache_check(args.path)
         except OSError as exc:
@@ -407,62 +418,35 @@ def cmd_cache(args) -> int:
 # parser
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file; explicit flags win")
-    sp.add_argument("--threads", type=int, default=None, help="accepted and has no effect")
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    """One flag per option name, then --config and --threads, in --help order."""
+    for name in (*names, "config", "threads"):
+        p.add_argument(_flag(name), type=KINDS[OPTIONS[name]][0], help=HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="avgrank")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("average-rank", help="explicit-formula rank-bound averages over the box family")
-    p.add_argument("--T", type=float)
-    p.add_argument("--X", type=float)
-    p.add_argument("--C0", type=float)
-    p.add_argument("--out-csv")
-    p.add_argument("--out-json")
-    _add_common(p)
-    p.set_defaults(fn=cmd_average_rank)
-
-    p = sub.add_parser("density", help="high rank-bound census and moment density bounds")
-    p.add_argument("--T", type=float)
-    p.add_argument("--X", type=float)
-    p.add_argument("--C0", type=float)
-    p.add_argument("--R-max", type=int, dest="R_max")
-    p.add_argument("--out-csv")
-    p.add_argument("--out-json")
-    _add_common(p)
-    p.set_defaults(fn=cmd_density)
-
-    p = sub.add_parser("twists", help="quadratic-twist rank-bound averages per root-number class")
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--w", type=int)
-    p.add_argument("--curve-file", help="curve-data file: lines 'r s N w'")
-    p.add_argument("--base-index", type=int)
-    p.add_argument("--T", type=float)
-    p.add_argument("--X", type=float)
-    p.add_argument("--C0", type=float)
-    p.add_argument("--out-csv")
-    p.add_argument("--out-json")
-    _add_common(p)
-    p.set_defaults(fn=cmd_twists)
-
-    p = sub.add_parser("verify", help="run the oracle and identity suites")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
+    family, outputs = ("T", "X", "C0"), ("out_csv", "out_json")
+    # the handlers are looked up here, when the parser is built, so a
+    # rebound cmd_* name is the one that runs
+    for command, help, fn, names in (
+        ("average-rank", "explicit-formula rank-bound averages over the box family",
+         cmd_average_rank, (*family, *outputs)),
+        ("density", "high rank-bound census and moment density bounds",
+         cmd_density, (*family, "R_max", *outputs)),
+        ("twists", "quadratic-twist rank-bound averages per root-number class",
+         cmd_twists, ("r", "s", "N", "w", "curve_file", "base_index", *family, *outputs)),
+        ("verify", "run the oracle and identity suites", cmd_verify, ()),
+    ):
+        p = sub.add_parser(command, help=help)
+        _add_options(p, *names)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("cache", help="build or validate a binary a_p cache")
     p.add_argument("cache_cmd", choices=["build", "check"])
-    p.add_argument("--T", type=float)
-    p.add_argument("--X", type=float)
-    p.add_argument("--out")
-    p.add_argument("--path")
-    _add_common(p)
+    _add_options(p, "T", "X", "out", "path")
     p.set_defaults(fn=cmd_cache)
-
     return parser
 
 
@@ -478,8 +462,11 @@ def main(argv=None) -> int:
         _apply_config_file(args, parser)
         _check_values(args)
         return args.fn(args)
-    except (ConfigError, OSError) as exc:  # OSError: a file that cannot be read or written
+    except (ValueError, OSError) as exc:  # a bad value, the engine's too; a file error
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+    except (OverflowError, MemoryError) as exc:  # a huge --C0; a family beyond memory
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

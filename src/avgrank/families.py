@@ -79,15 +79,19 @@ CAVEAT = (
 
 
 def int_root(x: float, k: int) -> int:
-    """floor(x^(1/k)) computed exactly for x >= 0."""
+    """floor(x^(1/k)) computed exactly for x >= 0: Newton's iteration in
+    integers on floor(x), from above the root, in O(log log x) steps."""
     if x < 0:
         raise ValueError("int_root requires x >= 0")
-    n = int(round(x ** (1.0 / k)))
-    while n**k > x:
-        n -= 1
-    while (n + 1) ** k <= x:
-        n += 1
-    return n
+    m = int(x)
+    if m < 2:
+        return m
+    n = 1 << -(-m.bit_length() // k)  # 2^ceil(bits/k) > m^(1/k)
+    while True:
+        nxt = ((k - 1) * n + m // n ** (k - 1)) // k
+        if nxt >= n:
+            return n
+        n = nxt
 
 
 class FamilyParams:
@@ -184,14 +188,20 @@ def _product_grid(
     return BoxGrid(rv, sv, keep)
 
 
+def _box_axes(T: float) -> tuple[np.ndarray, np.ndarray]:
+    """The r and s values of the box as int64 arrays; a T whose
+    discriminants -16 (4 r^3 + 27 s^2) overflow int64 is rejected first."""
+    rmax, smax = int_root(T, 3), int_root(T, 2)
+    if 16 * (4 * rmax**3 + 27 * smax**2) >= 2**63:
+        raise ValueError(f"T = {T:g} is too large: the box's discriminants exceed int64")
+    return np.arange(-rmax, rmax + 1, dtype=np.int64), np.arange(-smax, smax + 1, dtype=np.int64)
+
+
 def _box(T: float, minimal_only: bool = True, exclude_singular: bool = True) -> BoxGrid:
     """The unweighted box family as a grid; the defaults give C(T)."""
     if T < 1:
         raise ValueError("box_grid requires T >= 1")
-    rmax, smax = int_root(T, 3), int_root(T, 2)
-    rv = np.arange(-rmax, rmax + 1, dtype=np.int64)
-    sv = np.arange(-smax, smax + 1, dtype=np.int64)
-    return _product_grid(rv, sv, minimal_only, exclude_singular)
+    return _product_grid(*_box_axes(T), minimal_only, exclude_singular)
 
 
 def box_grid(
@@ -210,9 +220,7 @@ def _weighted_grid(params: FamilyParams) -> tuple[BoxGrid, np.ndarray]:
     Rows and columns of zero weight are dropped before the filters run.
     """
     T = params.T
-    rmax, smax = int_root(T, 3), int_root(T, 2)
-    rv = np.arange(-rmax, rmax + 1, dtype=np.int64)
-    sv = np.arange(-smax, smax + 1, dtype=np.int64)
+    rv, sv = _box_axes(T)
     wr = np.asarray(params.weight_r(rv * T ** (-1 / 3)), dtype=np.float64)
     ws = np.asarray(params.weight_s(sv * T ** (-1 / 2)), dtype=np.float64)
     rin, sin = wr > 0, ws > 0

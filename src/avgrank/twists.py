@@ -213,6 +213,8 @@ def twist_batch(N: int, weight: SmoothWeight, T: float) -> TwistBatch:
     if T < 1:
         raise ValueError("twist_batch requires T >= 1")
     lo, hi = weight.support
+    if max(-lo, hi) * T >= 2**63:
+        raise ValueError(f"T = {T:g} is too large: the discriminants exceed int64")
     D = _fundamental_array(lo * T, hi * T)
     absD = np.abs(D)
     n = ((N - 1) % absD.astype(object)).astype(np.int64) + 1

@@ -1,8 +1,10 @@
+import argparse
 import json
 import math
 import random
 import struct
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from avgrank.cache import (
     u1_sweep,
 )
 from avgrank import cache as cache_mod
-from avgrank import twists
+from avgrank import cli, families, moments, twists
 from avgrank.cli import load_curve_data, main
 from avgrank.curves import Curve, ap
 from avgrank.arith import sieve_primes
@@ -528,6 +530,18 @@ def _argv(cmd, tmp_path, *extra):
         ("density", ("--R-max", "-1"), "--R-max must be a nonnegative integer"),
         ("average-rank", ("--threads", "0"), "--threads must be a positive integer"),
         ("cache build", ("--threads", "-3"), "--threads must be a positive integer"),
+        # a finite C0 whose bounds overflow: in math.fsum, or to inf in the JSON
+        ("average-rank", ("--C0", "1e308"), "OverflowError: intermediate overflow in fsum"),
+        ("average-rank", ("--X", "1.001", "--C0", "1e308"), "not JSON compliant: inf"),
+        ("twists", ("--C0", "1e308"), "OverflowError: intermediate overflow in fsum"),
+        ("twists", ("--X", "1.0001", "--C0", "1e306"), "not JSON compliant: inf"),
+        # a T whose family cannot be indexed in int64, rejected before any
+        # array is allocated (the first would exceed the address space)
+        ("average-rank", ("--T", "1e40"), "T = 1e+40 is too large"),
+        ("density", ("--T", "1e40"), "T = 1e+40 is too large"),
+        ("density", ("--T", "1e300"), "T = 1e+300 is too large"),
+        ("twists", ("--T", "1e40"), "T = 1e+40 is too large"),
+        ("cache build", ("--T", "1e40"), "T = 1e+40 is too large"),
     ],
 )
 def test_cli_bad_value_flag_exits_2_before_writing(tmp_path, capsys, cmd, flags, match):
@@ -605,3 +619,266 @@ def test_cli_output_into_missing_directory_exits_2_before_writing(tmp_path, caps
     assert rc == 2
     assert f"{flag} {tmp_path}" in _one_error_line(capsys)
     assert list(tmp_path.iterdir()) == []  # density's CSV is not written either
+
+
+def test_cli_family_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 314. TiB for an array")
+
+    monkeypatch.setattr(families, "average_rank_experiment", no_memory)
+    assert run_cli(_argv("average-rank", tmp_path)) == 2
+    assert "MemoryError: Unable to allocate" in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# the option table, the parser and the CSV writer
+
+
+def _subcommands(parser):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flags(parser) -> list[str]:
+    """'flag dest type' of every argument but --help; a str option has no type."""
+    out = []
+    for a in parser._actions:
+        if isinstance(a, (argparse._HelpAction, argparse._SubParsersAction)):
+            continue
+        flag = a.option_strings[0] if a.option_strings else "(positional)"
+        out.append(f"{flag} {a.dest} {a.type.__name__ if a.type else 'str'}")
+    return out
+
+
+COMMON = ["--config config str", "--threads threads int"]
+FAMILY = ["--T T float", "--X X float", "--C0 C0 float"]
+OUTPUTS = ["--out-csv out_csv str", "--out-json out_json str"]
+FLAGS = {
+    "average-rank": [*FAMILY, *OUTPUTS, *COMMON],
+    "density": [*FAMILY, "--R-max R_max int", *OUTPUTS, *COMMON],
+    "twists": [
+        "--r r int", "--s s int", "--N N int", "--w w int",
+        "--curve-file curve_file str", "--base-index base_index int",
+        *FAMILY, *OUTPUTS, *COMMON,
+    ],
+    "verify": COMMON,
+    "cache": ["(positional) cache_cmd str", "--T T float", "--X X float", "--out out str", "--path path str", *COMMON],
+}
+
+
+def test_parser_flags_dests_and_types_are_pinned():
+    parser = cli.build_parser()
+    assert _flags(parser) == []
+    subs = _subcommands(parser)
+    assert list(subs) == list(FLAGS)
+    for name, want in FLAGS.items():
+        assert _flags(subs[name]) == want, name
+
+
+def test_handlers_resolve_when_the_parser_is_built(monkeypatch):
+    def traced(args):
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_verify", traced)
+    assert cli.build_parser().parse_args(["verify"]).fn is traced
+
+
+# --help of avgrank and of each subcommand at 80 columns, as written before the
+# parser was built from the option table
+HELP_TEXTS = {
+    "": """\
+usage: avgrank [-h] {average-rank,density,twists,verify,cache} ...
+
+positional arguments:
+  {average-rank,density,twists,verify,cache}
+    average-rank        explicit-formula rank-bound averages over the box
+                        family
+    density             high rank-bound census and moment density bounds
+    twists              quadratic-twist rank-bound averages per root-number
+                        class
+    verify              run the oracle and identity suites
+    cache               build or validate a binary a_p cache
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "average-rank": """\
+usage: avgrank average-rank [-h] [--T T] [--X X] [--C0 C0] [--out-csv OUT_CSV]
+                            [--out-json OUT_JSON] [--config CONFIG]
+                            [--threads THREADS]
+
+options:
+  -h, --help           show this help message and exit
+  --T T
+  --X X
+  --C0 C0
+  --out-csv OUT_CSV
+  --out-json OUT_JSON
+  --config CONFIG      JSON config file; explicit flags win
+  --threads THREADS    accepted and has no effect
+""",
+    "density": """\
+usage: avgrank density [-h] [--T T] [--X X] [--C0 C0] [--R-max R_MAX]
+                       [--out-csv OUT_CSV] [--out-json OUT_JSON]
+                       [--config CONFIG] [--threads THREADS]
+
+options:
+  -h, --help           show this help message and exit
+  --T T
+  --X X
+  --C0 C0
+  --R-max R_MAX
+  --out-csv OUT_CSV
+  --out-json OUT_JSON
+  --config CONFIG      JSON config file; explicit flags win
+  --threads THREADS    accepted and has no effect
+""",
+    "twists": """\
+usage: avgrank twists [-h] [--r R] [--s S] [--N N] [--w W]
+                      [--curve-file CURVE_FILE] [--base-index BASE_INDEX]
+                      [--T T] [--X X] [--C0 C0] [--out-csv OUT_CSV]
+                      [--out-json OUT_JSON] [--config CONFIG]
+                      [--threads THREADS]
+
+options:
+  -h, --help            show this help message and exit
+  --r R
+  --s S
+  --N N
+  --w W
+  --curve-file CURVE_FILE
+                        curve-data file: lines 'r s N w'
+  --base-index BASE_INDEX
+  --T T
+  --X X
+  --C0 C0
+  --out-csv OUT_CSV
+  --out-json OUT_JSON
+  --config CONFIG       JSON config file; explicit flags win
+  --threads THREADS     accepted and has no effect
+""",
+    "verify": """\
+usage: avgrank verify [-h] [--config CONFIG] [--threads THREADS]
+
+options:
+  -h, --help         show this help message and exit
+  --config CONFIG    JSON config file; explicit flags win
+  --threads THREADS  accepted and has no effect
+""",
+    "cache": """\
+usage: avgrank cache [-h] [--T T] [--X X] [--out OUT] [--path PATH]
+                     [--config CONFIG] [--threads THREADS]
+                     {build,check}
+
+positional arguments:
+  {build,check}
+
+options:
+  -h, --help         show this help message and exit
+  --T T
+  --X X
+  --out OUT
+  --path PATH
+  --config CONFIG    JSON config file; explicit flags win
+  --threads THREADS  accepted and has no effect
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_TEXTS))
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]
+
+
+class _FakeReport:
+    """The parts of a TwistReport that cmd_twists reads."""
+
+    def __init__(self, sign, D, rng):
+        n = len(D)
+        self.D = np.array(D, dtype=np.int64)
+        self.weight, self.logN_term, self.U1_raw, self.U2_raw, self.bound = (
+            np.array([rng.choice((0.1, 1 / 3, -0.0, 1e-300, 2.5e17, rng.uniform(-1, 1))) for _ in range(n)])
+            for _ in range(5)
+        )
+        self.empty = n == 0
+        self.W_total = float(n)
+        self.avg_bound = 0.25 * sign
+        self.class_sign_map = {(1, sign, 0): {sign}}
+
+
+def _old_twists_rows(reports) -> list[str]:
+    """The writer the block writer replaced: a sort of (D, sign, values) tuples."""
+    rows = []
+    for sign, rep in reports:
+        cols = (rep.weight, rep.logN_term, rep.U1_raw, rep.U2_raw, rep.bound)
+        rows.extend((D, sign, *vals) for D, *vals in zip(rep.D.tolist(), *(c.tolist() for c in cols)))
+    rows.sort()
+    return [f"{D},{sign}," + ",".join(repr(float(v)) for v in vals) for D, sign, *vals in rows]
+
+
+def test_twists_rows_ordered_by_D_then_sign(tmp_path, monkeypatch):
+    rng = random.Random(12)
+    # calls run weight by weight, sign +1 before -1; D is unsorted within a
+    # report, and 5 and -3 occur with both signs
+    Ds = {(0, 1): [7, 5, 13, 1], (0, -1): [5, 12, 8], (1, 1): [-3, -20, -4], (1, -1): [-7, -3, -15]}
+    fakes = [(sign, _FakeReport(sign, Ds[k, sign], rng)) for k in (0, 1) for sign in (1, -1)]
+    calls = iter(rep for _, rep in fakes)
+    monkeypatch.setattr(twists, "twist_average_experiment", lambda *args: next(calls))
+    csv = tmp_path / "t.csv"
+    argv = _argv("twists", tmp_path)
+    argv[argv.index("--out-csv") + 1] = str(csv)
+    assert run_cli(argv) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == cli.TWISTS_HEADER
+    assert lines[1:] == _old_twists_rows(fakes)
+    assert [ln.split(",")[:2] for ln in lines[1:5]] == [["-20", "1"], ["-15", "-1"], ["-7", "-1"], ["-4", "1"]]
+    assert [ln.split(",")[:2] for ln in lines if ln.startswith(("5,", "-3,"))] == [
+        ["-3", "-1"], ["-3", "1"], ["5", "-1"], ["5", "1"],
+    ]
+
+
+def _floats(rng, n) -> np.ndarray:
+    return rng.normal(size=n) * rng.choice([1e-300, 1.0, 1e300, 0.0], n)
+
+
+@pytest.mark.parametrize("n", [0, 1, cli.CSV_BLOCK, cli.CSV_BLOCK + 1])
+def test_density_rows_match_per_row_repr(tmp_path, monkeypatch, n):
+    rng = np.random.default_rng(n)
+    # every third Markov bound is inadmissible, an empty field
+    rows = [
+        SimpleNamespace(R=R, census=int(c), markov_bound=None if R % 3 == 1 else float(m), reference=float(x))
+        for R, c, m, x in zip(range(n), rng.integers(0, 2**40, n), _floats(rng, n), _floats(rng, n))
+    ]
+    report = SimpleNamespace(T=1e4, X=100.0, C0=0.0, n_C=n, n_D=n, rank_cutoff=1.0, rows=tuple(rows))
+    monkeypatch.setattr(moments, "high_rank_census", lambda *args: report)
+    assert run_cli(_argv("density", tmp_path)) == 0
+    want = [cli.DENSITY_HEADER] + [
+        f"{row.R},{row.census},{'' if row.markov_bound is None else repr(row.markov_bound)},{row.reference!r}"
+        for row in rows
+    ]
+    text = (tmp_path / "out.csv").read_text()
+    assert text.split("\n") == [*want, ""]
+    assert (",," in text) == (n > 1)
+
+
+@pytest.mark.parametrize("n", [1, cli.CSV_BLOCK, cli.CSV_BLOCK + 1])
+def test_average_rank_rows_match_per_row_repr(tmp_path, monkeypatch, n):
+    rng = np.random.default_rng(n)
+    cols = {name: _floats(rng, n) for name in ("logN_term", "U1_term", "U2_term", "bound")}
+    report = SimpleNamespace(
+        r=rng.integers(-(2**40), 2**40, n), s=rng.integers(-(2**40), 2**40, n), **cols,
+        T=1e4, X=100.0, C0=0.0, S_T=1.0, avg_logN_term=0.0, avg_U1_term=0.0, avg_U2_term=0.0,
+        avg_bound=0.0, u1_over_logX=0.0, u2_over_logX=0.0, caveat="",
+    )
+    monkeypatch.setattr(families, "average_rank_experiment", lambda *args: report)
+    assert run_cli(_argv("average-rank", tmp_path)) == 0
+    want = [cli.AVERAGE_RANK_HEADER] + [
+        f"{r},{s}," + ",".join(repr(float(cols[name][i])) for name in cols)
+        for i, (r, s) in enumerate(zip(report.r.tolist(), report.s.tolist()))
+    ]
+    assert (tmp_path / "out.csv").read_text().split("\n") == [*want, ""]

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -37,6 +38,21 @@ def test_int_root():
     assert int_root(0, 5) == 0
     # float-rounding hazard: (10^6)^2 stays exact
     assert int_root((10**6) ** 2 - 1, 2) == 10**6 - 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_int_root_is_exact_up_to_1e300(k):
+    # oracle: n = floor(m^(1/k)) is the one integer with n^k <= m < (n + 1)^k
+    rng = random.Random(k)
+    bases = [*range(1, 40), *(rng.randrange(2, 10 ** (300 // k)) for _ in range(300))]
+    for b in bases:
+        for m in (b**k - 1, b**k, b**k + 1):
+            n = int_root(m, k)
+            assert n**k <= m < (n + 1) ** k, (m, k)
+    # floats: the root of floor(x), and 1e300 in a handful of steps
+    for x in (1e300, 1e40, 2.0**200 - 2.0**147, 1e16 + 2.0):
+        n = int_root(x, k)
+        assert n**k <= int(x) < (n + 1) ** k
 
 
 def test_enumerate_D_count_and_filter():
@@ -82,6 +98,16 @@ def test_box_grid_requires_T_at_least_1():
         box_grid(0.5)
     with pytest.raises(ValueError, match="T >= 1"):
         FamilyParams(T=0.5)
+
+
+def test_box_beyond_int64_is_rejected_before_allocating():
+    # 16 * 27 * smax^2 passes 2^63 near T = 1.9e16; the s axis alone at
+    # T = 1e17 would take 5 GB
+    for T in (1e17, 1e40):
+        with pytest.raises(ValueError, match="discriminants exceed int64"):
+            box_grid(T)
+        with pytest.raises(ValueError, match="discriminants exceed int64"):
+            average_rank_experiment(FamilyParams(T=T), 10.0)
 
 
 def test_family_grid_is_box_grid_on_weight_support():

@@ -178,6 +178,14 @@ def test_minimal_twists_match_star_map_and_conductor(r, s):
     assert len(seen_d) > 1
 
 
+def test_twist_batch_beyond_int64_is_rejected_before_sieving():
+    # |D| reaches T * max |support|: 1e19 > 2^63, while sieving its square
+    # root would take 3 GB
+    for T, support in ((1e19, (0.5, 1.0)), (1e19, (-1.0, -0.5)), (1e40, (0.5, 1.0))):
+        with pytest.raises(ValueError, match="discriminants exceed int64"):
+            twist_batch(49, bump(*support), T)
+
+
 def test_twist_batch_must_match_the_family():
     base = Curve(1, 1)
     fam = TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.2, 1.0))

@@ -56,6 +56,11 @@ LADDER = {
         "twists --r 1 --s 1 --N 49 --w 1 --T 2e4 --X 300 "
         "--out-csv {out}/twists.csv --out-json {out}/twists.json"
     ),
+    # 26,567 CSV rows: the CSV writer at scale
+    "twists 1e5 100": (
+        "twists --r 1 --s 1 --N 49 --w 1 --T 1e5 --X 100 "
+        "--out-csv {out}/twists.csv --out-json {out}/twists.json"
+    ),
     "cache build 60 30": "cache build --T 60 --X 30 --out {out}/ap.apcache",
     "cache build 1e4 300": "cache build --T 1e4 --X 300 --out {out}/ap.apcache",
     "cache check 1e3 100": "cache check --path {fixtures}/ap-1e3-100.apcache",
