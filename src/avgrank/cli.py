@@ -245,9 +245,9 @@ def cmd_average_rank(args) -> int:
         "u2_over_logX": report.u2_over_logX,
         "caveat": report.caveat,
     }
-    cols = (report.r, report.s, report.logN_term, report.U1_term, report.U2_term, report.bound)
     for name in ("logN_term", "U1_term", "U2_term", "bound"):
         summary[f"mean_{name}"] = math.fsum(getattr(report, name).tolist()) / n
+    cols = (report.r, report.s, report.logN_term, report.U1_term, report.U2_term, report.bound)
     _write_outputs(args, AVERAGE_RANK_HEADER, AVERAGE_RANK_ROW, cols, summary)
     return EXIT_OK
 

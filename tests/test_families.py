@@ -101,9 +101,10 @@ def test_box_grid_requires_T_at_least_1():
 
 
 def test_box_beyond_int64_is_rejected_before_allocating():
-    # 16 * 27 * smax^2 passes 2^63 near T = 1.9e16; the s axis alone at
-    # T = 1e17 would take 5 GB
-    for T in (1e17, 1e40):
+    # 16 * 27 * smax^2 passes 2^63 near T = 1.9e16.  Without the check the
+    # r axis at these T would exceed the address space, so a broken check
+    # fails here without allocating anything
+    for T in (1e40, 1e60):
         with pytest.raises(ValueError, match="discriminants exceed int64"):
             box_grid(T)
         with pytest.raises(ValueError, match="discriminants exceed int64"):

@@ -179,9 +179,10 @@ def test_minimal_twists_match_star_map_and_conductor(r, s):
 
 
 def test_twist_batch_beyond_int64_is_rejected_before_sieving():
-    # |D| reaches T * max |support|: 1e19 > 2^63, while sieving its square
-    # root would take 3 GB
-    for T, support in ((1e19, (0.5, 1.0)), (1e19, (-1.0, -0.5)), (1e40, (0.5, 1.0))):
+    # |D| reaches T * max |support| > 2^63.  Without the check the sieve up
+    # to sqrt(|D|) at these T would exceed the address space, so a broken
+    # check fails here without allocating anything
+    for T, support in ((1e30, (0.5, 1.0)), (1e30, (-1.0, -0.5)), (1e40, (0.5, 1.0))):
         with pytest.raises(ValueError, match="discriminants exceed int64"):
             twist_batch(49, bump(*support), T)
 
