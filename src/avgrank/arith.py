@@ -105,10 +105,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def legendre(a: int, p: int, validate: bool = False) -> int:
+def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
-    if validate and (p < 3 or p % 2 == 0 or not is_prime(p)):
-        raise ValueError(f"p={p} is not an odd prime")
     a %= p
     if a == 0:
         return 0

@@ -36,7 +36,8 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+import os
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -189,11 +190,20 @@ def _product_grid(
 
 
 def _box_axes(T: float) -> tuple[np.ndarray, np.ndarray]:
-    """The r and s values of the box as int64 arrays; a T whose
-    discriminants -16 (4 r^3 + 27 s^2) overflow int64 is rejected first."""
+    """The r and s values of the box as int64 arrays.  A T is rejected first
+    when the discriminants -16 (4 r^3 + 27 s^2) overflow int64, or when the
+    box has more cells than 8 bytes each (the int64 outer sum of the
+    singular filter) fit in the machine's physical memory."""
     rmax, smax = int_root(T, 3), int_root(T, 2)
     if 16 * (4 * rmax**3 + 27 * smax**2) >= 2**63:
         raise ValueError(f"T = {T:g} is too large: the box's discriminants exceed int64")
+    need = 8 * (2 * rmax + 1) * (2 * smax + 1)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"T = {T:g} is too large: the box needs {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
     return np.arange(-rmax, rmax + 1, dtype=np.int64), np.arange(-smax, smax + 1, dtype=np.int64)
 
 
@@ -415,58 +425,31 @@ def _conductor_grid(grid: BoxGrid) -> np.ndarray:
     return _add_leftover(R, rem, logn)
 
 
-class RankBoundReport:
+class RankBoundReport(NamedTuple):
     """Per-curve rank-bound terms plus weighted family aggregates.
 
     u1_over_logX and u2_over_logX are the weighted averages of raw U1 and
     U2 divided by log X (U2's is near 1/4 in the limit).
     """
 
-    __slots__ = (
-        "T", "X", "C0", "r", "s", "weight", "logN_term", "U1_term", "U2_term", "bound",
-        "S_T", "avg_logN_term", "avg_U1_term", "avg_U2_term", "avg_bound",
-        "u1_over_logX", "u2_over_logX", "caveat",
-    )
-
-    def __init__(
-        self,
-        T: float,
-        X: float,
-        C0: float,
-        r: np.ndarray,
-        s: np.ndarray,
-        weight: np.ndarray,
-        logN_term: np.ndarray,
-        U1_term: np.ndarray,
-        U2_term: np.ndarray,
-        bound: np.ndarray,
-        S_T: float,
-        avg_logN_term: float,
-        avg_U1_term: float,
-        avg_U2_term: float,
-        avg_bound: float,
-        u1_over_logX: float,
-        u2_over_logX: float,
-        caveat: str = CAVEAT,
-    ):
-        self.T = T
-        self.X = X
-        self.C0 = C0
-        self.r = r
-        self.s = s
-        self.weight = weight
-        self.logN_term = logN_term
-        self.U1_term = U1_term
-        self.U2_term = U2_term
-        self.bound = bound
-        self.S_T = S_T
-        self.avg_logN_term = avg_logN_term
-        self.avg_U1_term = avg_U1_term
-        self.avg_U2_term = avg_U2_term
-        self.avg_bound = avg_bound
-        self.u1_over_logX = u1_over_logX
-        self.u2_over_logX = u2_over_logX
-        self.caveat = caveat
+    T: float
+    X: float
+    C0: float
+    r: np.ndarray
+    s: np.ndarray
+    weight: np.ndarray
+    logN_term: np.ndarray
+    U1_term: np.ndarray
+    U2_term: np.ndarray
+    bound: np.ndarray
+    S_T: float
+    avg_logN_term: float
+    avg_U1_term: float
+    avg_U2_term: float
+    avg_bound: float
+    u1_over_logX: float
+    u2_over_logX: float
+    caveat: str = CAVEAT
 
 
 def _wavg(w: np.ndarray, x: np.ndarray, wsum: float) -> float:

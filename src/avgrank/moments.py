@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,42 +141,27 @@ def optimal_k(R: int) -> int:
     return max(1, (R - 3) // 12)
 
 
-class CensusRow:
+class CensusRow(NamedTuple):
     """census counts the curves in C(T) whose rank_bound proxy is >= R;
     markov_bound is the Markov density bound at the optimal k, or None
     where it is not admissible."""
 
-    __slots__ = ("R", "census", "markov_bound", "reference")
-
-    def __init__(self, R: int, census: int, markov_bound: float | None, reference: float):
-        self.R = R
-        self.census = census
-        self.markov_bound = markov_bound
-        self.reference = reference
+    R: int
+    census: int
+    markov_bound: float | None
+    reference: float
 
 
-class MomentReport:
+class MomentReport(NamedTuple):
     """The census rows of one (T, X, C0); rank_cutoff is 11 log T / log log T."""
 
-    __slots__ = ("T", "X", "C0", "rows", "rank_cutoff", "n_C", "n_D")
-
-    def __init__(
-        self,
-        T: float,
-        X: float,
-        C0: float,
-        rows: tuple[CensusRow, ...],
-        rank_cutoff: float,
-        n_C: int,
-        n_D: int,
-    ):
-        self.T = T
-        self.X = X
-        self.C0 = C0
-        self.rows = rows
-        self.rank_cutoff = rank_cutoff
-        self.n_C = n_C
-        self.n_D = n_D
+    T: float
+    X: float
+    C0: float
+    rows: tuple[CensusRow, ...]
+    rank_cutoff: float
+    n_C: int
+    n_D: int
 
 
 def high_rank_census(
@@ -187,7 +172,8 @@ def high_rank_census(
     The census thresholds the explicit-formula rank bound (true analytic
     ranks are out of reach), evaluated for all of C(T) by the batch route
     of average_rank_experiment; the Markov column uses the |V| moment
-    mechanism with k and X chosen as in the density analysis.
+    mechanism with k and X chosen as in the density analysis.  The moment
+    depends on R only through k, so it is computed once per k.
     """
     if X <= 1 or T <= math.e:
         raise ValueError("high_rank_census requires X > 1 and T > e")
@@ -200,14 +186,17 @@ def high_rank_census(
     n_C = len(grid)
     n_D = len(_box(T, minimal_only=False))
     rows = []
+    moments = {}  # k -> moment_2k(T, XR, k)
     for R in range(0, R_max + 1):
         census = int((bounds >= R).sum())
         k = optimal_k(R)
         XR = T ** (1.0 / (6 * k))
         markov = None
         if XR >= 2 and R >= 3 + 2 * math.log(T) / math.log(XR):
-            mp = sieve_primes(int(XR)) if XR > primes.limit else primes
-            markov = _markov(moment_2k(T, XR, k, mp), T, k, n_C)
+            if k not in moments:
+                mp = sieve_primes(int(XR)) if XR > primes.limit else primes
+                moments[k] = moment_2k(T, XR, k, mp)
+            markov = _markov(moments[k], T, k, n_C)
         rows.append(CensusRow(R=R, census=census, markov_bound=markov, reference=reference_decay(R)))
     cutoff = 11 * math.log(T) / math.log(math.log(T))
     return MomentReport(T=T, X=X, C0=C0, rows=tuple(rows), rank_cutoff=cutoff, n_C=n_C, n_D=n_D)

@@ -9,7 +9,7 @@ code.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -34,16 +34,13 @@ __all__ = [
 ]
 
 
-class GcdSumResult:
+class GcdSumResult(NamedTuple):
     """S(U, V) and its bound_ratio, total / (U^1.01 * V * (U^2 + V))."""
 
-    __slots__ = ("U", "V", "total", "bound_ratio")
-
-    def __init__(self, U: int, V: int, total: int, bound_ratio: float):
-        self.U = U
-        self.V = V
-        self.total = total
-        self.bound_ratio = bound_ratio
+    U: int
+    V: int
+    total: int
+    bound_ratio: float
 
 
 def gcd_sum_S(U: int, V: int, order: str = "uvw") -> GcdSumResult:

@@ -25,7 +25,7 @@ numerically.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .arith import (
     squarefree_kernel,
 )
 from .curves import Curve, _valuation, discriminant, sigma_p
-from .families import fsum_rows, prime_terms
+from .families import _wavg, fsum_rows, prime_terms
 from .weights import QuadratureError, SmoothWeight, fourier_numeric
 
 __all__ = [
@@ -158,7 +158,7 @@ def _squarefree_flags(lo: int, hi: int, ps: tuple[int, ...]) -> np.ndarray:
     return sf
 
 
-class TwistBatch:
+class TwistBatch(NamedTuple):
     """The fundamental discriminants of one weight support coprime to N.
 
     Arrays over D ascending: the weights w(D / T), zeros included; the
@@ -167,29 +167,15 @@ class TwistBatch:
     root-number classes and any class filter of its (N, weight, T).
     """
 
-    __slots__ = ("N", "weight", "T", "D", "weights", "twist_sign", "k", "delta", "e")
-
-    def __init__(
-        self,
-        N: int,
-        weight: SmoothWeight,
-        T: float,
-        D: np.ndarray,
-        weights: np.ndarray,
-        twist_sign: np.ndarray,
-        k: np.ndarray,
-        delta: np.ndarray,
-        e: np.ndarray,
-    ):
-        self.N = N
-        self.weight = weight
-        self.T = T
-        self.D = D
-        self.weights = weights
-        self.twist_sign = twist_sign
-        self.k = k
-        self.delta = delta
-        self.e = e
+    N: int
+    weight: SmoothWeight
+    T: float
+    D: np.ndarray
+    weights: np.ndarray
+    twist_sign: np.ndarray
+    k: np.ndarray
+    delta: np.ndarray
+    e: np.ndarray
 
     def select(self, family: TwistFamily, T: float) -> np.ndarray:
         """Mask of the rows enumerate_T_pm(family, T) emits."""
@@ -345,65 +331,36 @@ def sieve_indicator_X(n: int, T: float, N: int) -> int:
     return sum(moebius(d) for d in divisors if n % (d * d) == 0)
 
 
-class TwistReport:
+class TwistReport(NamedTuple):
     """Per-discriminant rank-bound terms and family aggregates for one sign.
 
     logND2_term is a diagnostic, the log(N D^2) / log X upper bound;
     u2_deviation is max |U2 - (log X)/4| / log log |D|; class_sign_map
-    is a fresh dict when not given.
+    maps each class triple (k, delta, e) of the rows to [sign].  An empty
+    class has empty arrays, NaN averages and an empty map.
     """
 
-    __slots__ = (
-        "T", "X", "C0", "sign", "empty", "D", "weight", "logN_term", "U1_raw", "U2_raw",
-        "bound", "logND2_term", "W_total", "avg_logN_term", "avg_U1_term", "avg_U2_term",
-        "avg_bound", "u1_over_logX", "u2_over_logX", "u2_deviation", "class_sign_map",
-    )
-
-    def __init__(
-        self,
-        T: float,
-        X: float,
-        C0: float,
-        sign: int,
-        empty: bool,
-        D: np.ndarray,
-        weight: np.ndarray,
-        logN_term: np.ndarray,
-        U1_raw: np.ndarray,
-        U2_raw: np.ndarray,
-        bound: np.ndarray,
-        logND2_term: np.ndarray,
-        W_total: float,
-        avg_logN_term: float,
-        avg_U1_term: float,
-        avg_U2_term: float,
-        avg_bound: float,
-        u1_over_logX: float,
-        u2_over_logX: float,
-        u2_deviation: float,
-        class_sign_map: dict | None = None,
-    ):
-        self.T = T
-        self.X = X
-        self.C0 = C0
-        self.sign = sign
-        self.empty = empty
-        self.D = D
-        self.weight = weight
-        self.logN_term = logN_term
-        self.U1_raw = U1_raw
-        self.U2_raw = U2_raw
-        self.bound = bound
-        self.logND2_term = logND2_term
-        self.W_total = W_total
-        self.avg_logN_term = avg_logN_term
-        self.avg_U1_term = avg_U1_term
-        self.avg_U2_term = avg_U2_term
-        self.avg_bound = avg_bound
-        self.u1_over_logX = u1_over_logX
-        self.u2_over_logX = u2_over_logX
-        self.u2_deviation = u2_deviation
-        self.class_sign_map = {} if class_sign_map is None else class_sign_map
+    T: float
+    X: float
+    C0: float
+    sign: int
+    empty: bool
+    D: np.ndarray
+    weight: np.ndarray
+    logN_term: np.ndarray
+    U1_raw: np.ndarray
+    U2_raw: np.ndarray
+    bound: np.ndarray
+    logND2_term: np.ndarray
+    W_total: float
+    avg_logN_term: float
+    avg_U1_term: float
+    avg_U2_term: float
+    avg_bound: float
+    u1_over_logX: float
+    u2_over_logX: float
+    u2_deviation: float
+    class_sign_map: dict
 
 
 def twist_average_experiment(
@@ -439,6 +396,7 @@ def twist_average_experiment(
             W_total=0.0, avg_logN_term=math.nan, avg_U1_term=math.nan,
             avg_U2_term=math.nan, avg_bound=math.nan,
             u1_over_logX=math.nan, u2_over_logX=math.nan, u2_deviation=math.nan,
+            class_sign_map={},
         )
     D, w = batch.D[keep], batch.weights[keep]
     logX = math.log(X)
@@ -455,21 +413,18 @@ def twist_average_experiment(
     triples = np.stack((batch.k, batch.delta, batch.e))[:, keep]
     _, first = np.unique(triples[0] * 16 + triples[1] * 4 + triples[2], return_index=True)
 
-    def wavg(x):
-        return math.fsum((w * x).tolist()) / wsum
-
     return TwistReport(
         T=T, X=X, C0=C0, sign=family.sign, empty=False,
         D=D, weight=w,
         logN_term=lt, U1_raw=u1a, U2_raw=u2a, bound=bound,
         logND2_term=nd2_t,
         W_total=wsum,
-        avg_logN_term=wavg(lt),
-        avg_U1_term=wavg((2.0 / logX) * u1a),
-        avg_U2_term=wavg((2.0 / logX) * u2a),
-        avg_bound=wavg(bound),
-        u1_over_logX=wavg(u1a) / logX,
-        u2_over_logX=wavg(u2a) / logX,
+        avg_logN_term=_wavg(w, lt, wsum),
+        avg_U1_term=_wavg(w, (2.0 / logX) * u1a, wsum),
+        avg_U2_term=_wavg(w, (2.0 / logX) * u2a, wsum),
+        avg_bound=_wavg(w, bound, wsum),
+        u1_over_logX=_wavg(w, u1a, wsum) / logX,
+        u2_over_logX=_wavg(w, u2a, wsum) / logX,
         u2_deviation=float(devs.max()),
         class_sign_map={tuple(t): [family.sign] for t in triples[:, first].T.tolist()},
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,31 +46,16 @@ _ROUNDING = 8 * np.finfo(np.float64).eps  # per-panel floor, relative to the int
 _MAX_SPLITS = 4096  # bisections before fourier_numeric gives up
 
 
-class SmoothWeight:
+class SmoothWeight(NamedTuple):
     """Nonnegative weight, exactly zero outside its (closed) support.
 
     smoothness is "triangular", "C3" or "C-infinity".  Weights compare and
     hash by value: TwistBatch.select matches its (N, weight, T) by ==.
     """
 
-    __slots__ = ("support", "smoothness", "evaluator")
-
-    def __init__(
-        self, support: tuple[float, float], smoothness: str, evaluator: Callable[[np.ndarray], np.ndarray]
-    ):
-        self.support = support
-        self.smoothness = smoothness
-        self.evaluator = evaluator
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.support, self.smoothness, self.evaluator) == (
-            other.support, other.smoothness, other.evaluator
-        )
-
-    def __hash__(self):
-        return hash((self.support, self.smoothness, self.evaluator))
+    support: tuple[float, float]
+    smoothness: str
+    evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)

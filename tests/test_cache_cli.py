@@ -1,9 +1,14 @@
 import argparse
 import json
 import math
+import os
 import random
+import resource
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -628,6 +633,26 @@ def test_cli_family_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(families, "average_rank_experiment", no_memory)
     assert run_cli(_argv("average-rank", tmp_path)) == 2
     assert "MemoryError: Unable to allocate" in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cmd", ["average-rank", "density", "cache build"])
+def test_cli_box_beyond_physical_memory_exits_2(tmp_path, cmd):
+    # 4.3e5 x 2e8 cells pass the int64 bound but not the memory bound, which
+    # is checked before any array is allocated.  The child's address space is
+    # capped at 1 GiB, so a missing check fails on the message (MemoryError)
+    # instead of bringing in the kernel's OOM killer.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "avgrank.cli", *_argv(cmd, tmp_path, "--T", "1e16", "--X", "10")]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, cwd=tmp_path, env=env, preexec_fn=cap, timeout=300
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: T = 1e+16 is too large: the box needs ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 

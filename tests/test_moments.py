@@ -5,10 +5,12 @@ import pytest
 
 from avgrank.arith import sieve_primes
 from avgrank.curves import Curve, sigma_p
+from avgrank import moments
 from avgrank.families import U1, enumerate_C, enumerate_D, rank_bound
 from avgrank.moments import (
     TermType,
     V,
+    _markov,
     V_family,
     classify_type,
     count_C,
@@ -151,3 +153,25 @@ def test_high_rank_census_rejects_degenerate_X_and_T():
         high_rank_census(200.0, 1.0)
     with pytest.raises(ValueError, match="T > e"):
         high_rank_census(math.e, 10.0)
+
+
+def test_high_rank_census_computes_one_moment_per_k(monkeypatch):
+    # admissible: R = 16..26 at k = 1 (the threshold 3 + 2 log T / log XR
+    # rounds to 15.000000000000002) and R = 27..38 at k = 2
+    T, X = 1e4, 100.0
+    calls = []
+
+    def counting(T, X, k, primes=None):
+        calls.append(k)
+        return moment_2k(T, X, k, primes)
+
+    monkeypatch.setattr(moments, "moment_2k", counting)
+    rep = high_rank_census(T, X, R_max=38)
+    assert calls == [1, 2]
+    admissible = [row.R for row in rep.rows if row.markov_bound is not None]
+    assert admissible == list(range(16, 39))
+    for row in rep.rows:
+        if row.markov_bound is not None:
+            k = optimal_k(row.R)
+            XR = T ** (1.0 / (6 * k))
+            assert row.markov_bound == _markov(moment_2k(T, XR, k), T, k, rep.n_C)

@@ -52,6 +52,10 @@ LADDER = {
     "average-rank 1e7 1000": "average-rank --T 1e7 --X 1000 --out-csv {out}/rows.csv --out-json {out}/summary.json",
     "density 1e4 100": "density --T 1e4 --X 100 --out-csv {out}/density.csv --out-json {out}/density.json",
     "density 1e5 300": "density --T 1e5 --X 300 --out-csv {out}/density.csv --out-json {out}/density.json",
+    # 26 admissible Markov rows (k = 1, 2 and 3): the moment sums of the census
+    "density 1e6 100 --R-max 40": (
+        "density --T 1e6 --X 100 --R-max 40 --out-csv {out}/density.csv --out-json {out}/density.json"
+    ),
     "twists 2e4 300": (
         "twists --r 1 --s 1 --N 49 --w 1 --T 2e4 --X 300 "
         "--out-csv {out}/twists.csv --out-json {out}/twists.json"
