@@ -220,7 +220,6 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     import numpy as np
 
     from .arith import sieve_primes
-    from .curves import discriminant
     from .families import box_grid, fsum_rows, prime_terms
     from .weights import h_X
 
@@ -228,7 +227,7 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     R, S = box_grid(T)
     keys = list(zip(R.tolist(), S.tolist()))
     cols = []
-    for p, t1, _ in prime_terms(R, S, discriminant(R, S), X, primes):
+    for p, t1, _ in prime_terms(R, S, X, primes):
         if cache is not None:
             coef = -(math.log(p) / p) * h_X(math.log(p), X)
             hits = [cache.lookup(r, s, p) for r, s in keys]

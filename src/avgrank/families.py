@@ -13,9 +13,10 @@ report carries a caveat line saying so.
 Box families are held as product grids (BoxGrid): row values rv, column
 values sv and a boolean keep mask over rv x sv for the singularity,
 minimality and weight-support filters; box_grid gives the same family
-as flat row-major arrays.  prime_terms is the one per-prime term route.
-Its coefficient arrays broadcast like those of curves.sigma_p_batch, the
-one trace gather: flat pairs for the twists and the cache sweep, and
+as flat row-major arrays.  prime_terms, the one per-prime term route of
+U1, U2 and the moments' V, needs only the coefficients and reads p | Delta
+off their residues.  They broadcast like those of curves.sigma_p_batch,
+the one trace gather: flat pairs for the twists and the cache sweep, and
 rv[:, None], sv for a grid, where rank_bound_terms takes each U1 / U2
 term on the whole rectangle and cuts to the kept cells once at the end.
 The gather folds the row sign into its table (chi(k) = chi(r) for
@@ -207,21 +208,19 @@ def _box_axes(T: float) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(-rmax, rmax + 1, dtype=np.int64), np.arange(-smax, smax + 1, dtype=np.int64)
 
 
-def _box(T: float, minimal_only: bool = True, exclude_singular: bool = True) -> BoxGrid:
-    """The unweighted box family as a grid; the defaults give C(T)."""
+def _box(T: float, minimal_only: bool = True) -> BoxGrid:
+    """The unweighted nonsingular box family as a grid; the default gives C(T)."""
     if T < 1:
         raise ValueError("box_grid requires T >= 1")
-    return _product_grid(*_box_axes(T), minimal_only, exclude_singular)
+    return _product_grid(*_box_axes(T), minimal_only, True)
 
 
-def box_grid(
-    T: float, minimal_only: bool = True, exclude_singular: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def box_grid(T: float, minimal_only: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(R, S) arrays of the unweighted box family, row-major in (r, s).
 
-    The defaults give C(T); minimal_only=False gives D(T).
+    The default gives C(T); minimal_only=False gives D(T).
     """
-    return _box(T, minimal_only, exclude_singular).cells()
+    return _box(T, minimal_only).cells()
 
 
 def _weighted_grid(params: FamilyParams) -> tuple[BoxGrid, np.ndarray]:
@@ -283,27 +282,30 @@ def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: PrimeTable | Non
 
 
 def prime_terms(
-    R: np.ndarray, S: np.ndarray, delta: np.ndarray, X: float, primes: PrimeTable
+    R: np.ndarray, S: np.ndarray, X: float, primes: PrimeTable, lo: int = 5
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """Per-prime explicit-formula terms of a family, in increasing p.
 
-    Yields (p, t1, t2) for each prime 5 <= p <= X: t1 = -(log p / p)
-    h_X(log p) a_p is the U1 term and t2 = c_{p^2} (2 log p) h_X(2 log p)
-    the U2 term, None once p^2 > X.  delta is the discriminant of each
-    (minimal) model and decides the bad primes of c_{p^2}.  R, S and delta
-    broadcast like the arguments of sigma_p_batch: flat arrays, or
-    rv[:, None], sv and their discriminant for a grid.  They may be int64
-    or Python-int (dtype=object) arrays; R and S are reduced mod p before
-    the batch engine.  Each element equals the term that U1 / U2 sum for
-    that curve, bit for bit.
+    Yields (p, t1, t2) for each prime lo <= p <= X (lo >= 5): t1 = -(log p
+    / p) h_X(log p) a_p is the U1 term and t2 = c_{p^2} (2 log p)
+    h_X(2 log p) the U2 term, None once p^2 > X.  R and S are the
+    coefficients of the (minimal) models and broadcast like the arguments
+    of sigma_p_batch: flat arrays, or rv[:, None], sv for a grid.  They
+    may be int64 or Python-int (dtype=object) arrays; each prime reduces
+    them to int64 residues once, and the bad primes of c_{p^2} come from
+    the residues, since p | Delta depends only on r and s mod p.  Each
+    element equals the term that U1 / U2 sum for that curve, bit for bit.
     """
-    for p in primes.in_range(5, X):
-        sig = sigma_p_batch(R % p, S % p, p)
+    for p in primes.in_range(lo, X):
+        rm = np.asarray(R % p, dtype=np.int64)
+        sm = np.asarray(S % p, dtype=np.int64)
+        sig = sigma_p_batch(rm, sm, p)
         lp = math.log(p)
         t1 = -(lp / p) * h_X(lp, X) * sig
         t2 = None
         if p * p <= X:
-            bad = delta % p == 0
+            # |discriminant(rm, sm)| < 64 p^3 + 432 p^2 fits int64 for X < 2.5e11
+            bad = discriminant(rm, sm) % p == 0
             c = np.where(bad, -(sig * sig) / (2.0 * p * p), -(sig * sig - 2.0 * p) / (2.0 * p * p))
             t2 = c * 2.0 * lp * h_X(2.0 * lp, X)
         yield p, t1, t2
@@ -320,7 +322,7 @@ def rank_bound_terms(
     rv, sv = grid.rv[:, None], grid.sv
     u1 = np.zeros(grid.keep.shape)
     u2 = np.zeros(grid.keep.shape)
-    for _, t1, t2 in prime_terms(rv, sv, discriminant(rv, sv), X, primes):
+    for _, t1, t2 in prime_terms(rv, sv, X, primes):
         u1 += t1
         if t2 is not None:
             u2 += t2
@@ -453,7 +455,7 @@ class RankBoundReport(NamedTuple):
 
 
 def _wavg(w: np.ndarray, x: np.ndarray, wsum: float) -> float:
-    return math.fsum((w * x).tolist()) / wsum
+    return math.fsum((w * x).tolist()) / wsum if wsum else math.nan
 
 
 def average_rank_experiment(

@@ -16,8 +16,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .arith import PrimeTable, sieve_primes
-from .curves import Curve, sigma_p, sigma_p_batch
-from .families import _box, rank_bound_terms
+from .curves import Curve, sigma_p
+from .families import _box, prime_terms, rank_bound_terms
 from .weights import h_X
 
 __all__ = [
@@ -55,11 +55,12 @@ def V(curve: Curve, X: float, primes: PrimeTable) -> float:
 
 
 def V_family(T: float, X: float, primes: PrimeTable) -> np.ndarray:
-    """V(E, X) for every curve of D(T), in row-major (r, s) order."""
+    """V(E, X) for every curve of D(T), in row-major (r, s) order: minus the
+    U1 terms of prime_terms over 100 < p <= X (negation is exact)."""
     grid = _box(T, minimal_only=False)
     out = np.zeros(grid.keep.shape)
-    for p in primes.in_range(101, X):
-        out += (math.log(p) / p) * h_X(math.log(p), X) * sigma_p_batch(grid.rv[:, None], grid.sv, p)
+    for _, t1, _ in prime_terms(grid.rv[:, None], grid.sv, X, primes, lo=101):
+        out -= t1
     return out[grid.keep]
 
 
@@ -71,6 +72,8 @@ def moment_2k(T: float, X: float, k: int, primes: PrimeTable | None = None) -> f
     """
     if k < 1:
         raise ValueError("moment_2k requires k >= 1")
+    if X < 101:  # (100, X] holds no prime, so every V is 0
+        return 0.0
     if primes is None:
         primes = sieve_primes(int(X))
     vals = V_family(T, X, primes)
@@ -192,10 +195,10 @@ def high_rank_census(
         k = optimal_k(R)
         XR = T ** (1.0 / (6 * k))
         markov = None
-        if XR >= 2 and R >= 3 + 2 * math.log(T) / math.log(XR):
+        # 3 + 2 log T / log XR is 3 + 12k exactly; the float quotient overshoots
+        if XR >= 2 and R >= 3 + 12 * k:
             if k not in moments:
-                mp = sieve_primes(int(XR)) if XR > primes.limit else primes
-                moments[k] = moment_2k(T, XR, k, mp)
+                moments[k] = moment_2k(T, XR, k)
             markov = _markov(moments[k], T, k, n_C)
         rows.append(CensusRow(R=R, census=census, markov_bound=markov, reference=reference_decay(R)))
     cutoff = 11 * math.log(T) / math.log(math.log(T))

@@ -387,22 +387,11 @@ def twist_average_experiment(
     if batch is None:
         batch = twist_batch(family.N, family.weight, T)
     keep = batch.select(family, T)
-    if not keep.any():
-        return TwistReport(
-            T=T, X=X, C0=C0, sign=family.sign, empty=True,
-            D=np.array([], dtype=np.int64), weight=np.array([]),
-            logN_term=np.array([]), U1_raw=np.array([]), U2_raw=np.array([]),
-            bound=np.array([]), logND2_term=np.array([]),
-            W_total=0.0, avg_logN_term=math.nan, avg_U1_term=math.nan,
-            avg_U2_term=math.nan, avg_bound=math.nan,
-            u1_over_logX=math.nan, u2_over_logX=math.nan, u2_deviation=math.nan,
-            class_sign_map={},
-        )
     D, w = batch.D[keep], batch.weights[keep]
     logX = math.log(X)
     # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
-    R, S, disc, cond = _minimal_twists(family.base, D)
-    terms = list(prime_terms(R, S, disc, X, primes))
+    R, S, _, cond = _minimal_twists(family.base, D)
+    terms = list(prime_terms(R, S, X, primes)) if len(D) else []
     u1a = np.asarray(fsum_rows([t1 for _, t1, _ in terms], len(R)))
     u2a = np.asarray(fsum_rows([t2 for _, _, t2 in terms if t2 is not None], len(R)))
     lt = np.array([math.log(n) for n in cond.tolist()]) / logX
@@ -414,7 +403,7 @@ def twist_average_experiment(
     _, first = np.unique(triples[0] * 16 + triples[1] * 4 + triples[2], return_index=True)
 
     return TwistReport(
-        T=T, X=X, C0=C0, sign=family.sign, empty=False,
+        T=T, X=X, C0=C0, sign=family.sign, empty=not len(D),
         D=D, weight=w,
         logN_term=lt, U1_raw=u1a, U2_raw=u2a, bound=bound,
         logND2_term=nd2_t,
@@ -425,7 +414,7 @@ def twist_average_experiment(
         avg_bound=_wavg(w, bound, wsum),
         u1_over_logX=_wavg(w, u1a, wsum) / logX,
         u2_over_logX=_wavg(w, u2a, wsum) / logX,
-        u2_deviation=float(devs.max()),
+        u2_deviation=float(devs.max()) if len(D) else math.nan,
         class_sign_map={tuple(t): [family.sign] for t in triples[:, first].T.tolist()},
     )
 

@@ -144,18 +144,18 @@ def test_prime_terms_int64_and_object_arrays_agree():
     R, S = box_grid(2.0e4)
     X = 200.0
     primes = sieve_primes(200)
-    fast = list(prime_terms(R, S, discriminant(R, S), X, primes))
-    # shifting by the primorial keeps every residue mod p <= X and takes the
-    # coefficients far beyond int64; delta stays that of the unshifted grid
+    fast = list(prime_terms(R, S, X, primes))
+    # shifting by the primorial keeps every residue mod p <= X, so the bad
+    # primes read off the residues too, and takes the coefficients far
+    # beyond int64
     M = math.prod(primes.in_range(2, X))
     Ro, So = R.astype(object) + M, S.astype(object) - M
-    slow = list(prime_terms(Ro, So, discriminant(R.astype(object), S.astype(object)), X, primes))
+    slow = list(prime_terms(Ro, So, X, primes))
     assert [p for p, _, _ in fast] == primes.in_range(5, X)
     assert [p for p, _, _ in slow] == primes.in_range(5, X)
-    # the grid form: rv[:, None], sv and its discriminant, cut by keep
+    # the grid form: rv[:, None], sv, cut by keep
     grid = _box(2.0e4)
-    rv, sv = grid.rv[:, None], grid.sv
-    rect = list(prime_terms(rv, sv, discriminant(rv, sv), X, primes))
+    rect = list(prime_terms(grid.rv[:, None], grid.sv, X, primes))
     assert [p for p, _, _ in rect] == primes.in_range(5, X)
     for (_, a1, a2), (_, b1, b2), (_, c1, c2) in zip(fast, slow, rect):
         assert np.array_equal(a1, b1)

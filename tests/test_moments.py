@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from avgrank.arith import sieve_primes
-from avgrank.curves import Curve, sigma_p
+from avgrank.curves import Curve, sigma_p, sigma_p_batch
 from avgrank import moments
-from avgrank.families import U1, enumerate_C, enumerate_D, rank_bound
+from avgrank.families import U1, _box, enumerate_C, enumerate_D, rank_bound
 from avgrank.moments import (
     TermType,
     V,
@@ -62,6 +62,19 @@ def test_V_family_matches_scalar():
     assert len(vals) == len(curves)
     for i in range(0, len(curves), 37):
         assert abs(vals[i] - V(curves[i], X, primes)) < 1e-12
+
+
+def test_V_family_equals_the_direct_rectangle_sum():
+    # V through prime_terms against the direct sum of (log p / p) h_X(log p)
+    # sigma_p over the D(T) rectangle, bit for bit
+    T, X = 1000.0, 300.0
+    primes = sieve_primes(300)
+    grid = _box(T, minimal_only=False)
+    want = np.zeros(grid.keep.shape)
+    for p in primes.in_range(101, X):
+        want += (math.log(p) / p) * h_X(math.log(p), X) * sigma_p_batch(grid.rv[:, None], grid.sv, p)
+    got = V_family(T, X, primes)
+    assert np.array_equal(got.view(np.int64), want[grid.keep].view(np.int64))
 
 
 def test_moment_2k_and_markov():
@@ -156,22 +169,36 @@ def test_high_rank_census_rejects_degenerate_X_and_T():
 
 
 def test_high_rank_census_computes_one_moment_per_k(monkeypatch):
-    # admissible: R = 16..26 at k = 1 (the threshold 3 + 2 log T / log XR
-    # rounds to 15.000000000000002) and R = 27..38 at k = 2
+    # admissible: R = 15..26 at k = 1 and R = 27..38 at k = 2, where
+    # R >= 3 + 2 log T / log XR is R >= 3 + 12k; both ranges (100, XR]
+    # hold no prime, so neither moment builds D(T)
     T, X = 1e4, 100.0
-    calls = []
+    calls, v_calls = [], []
 
     def counting(T, X, k, primes=None):
         calls.append(k)
         return moment_2k(T, X, k, primes)
 
+    def counting_V(T, X, primes):
+        v_calls.append(X)
+        return V_family(T, X, primes)
+
     monkeypatch.setattr(moments, "moment_2k", counting)
+    monkeypatch.setattr(moments, "V_family", counting_V)
     rep = high_rank_census(T, X, R_max=38)
     assert calls == [1, 2]
+    assert v_calls == []
     admissible = [row.R for row in rep.rows if row.markov_bound is not None]
-    assert admissible == list(range(16, 39))
+    assert admissible == list(range(15, 39))
+    assert all(row.markov_bound == 0.0 for row in rep.rows if row.R >= 15)
     for row in rep.rows:
         if row.markov_bound is not None:
             k = optimal_k(row.R)
             XR = T ** (1.0 / (6 * k))
             assert row.markov_bound == _markov(moment_2k(T, XR, k), T, k, rep.n_C)
+
+
+def test_high_rank_census_admits_the_row_at_3_plus_12k():
+    # the float threshold 3 + 2 log T / log XR read above 15 at T = 300
+    rep = high_rank_census(300.0, 30.0, R_max=16)
+    assert [row.R for row in rep.rows if row.markov_bound is not None] == [15, 16]

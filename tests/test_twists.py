@@ -266,11 +266,22 @@ def test_twist_average_experiment_smoke():
 
 
 def test_twist_average_experiment_empty():
-    base = Curve(1, 1)
-    fam = TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.97, 0.99))
-    rep = twist_average_experiment(fam, 20.0, 10.0)
-    assert rep.empty
-    assert math.isnan(rep.avg_bound)
+    # an empty batch, and a non-empty batch whose selection is empty: at
+    # N = 49 every D of the positive support has sign +1
+    for sign, weight, T, X in ((1, bump(0.97, 0.99), 20.0, 10.0), (-1, bump(0.5, 1.0), 4000.0, 200.0)):
+        fam = TwistFamily(base=Curve(1, 1), N=49, w=1, sign=sign, weight=weight)
+        rep = twist_average_experiment(fam, T, X)
+        assert rep.empty
+        assert rep.D.dtype == np.int64 and rep.D.shape == (0,)
+        for a in (rep.weight, rep.logN_term, rep.U1_raw, rep.U2_raw, rep.bound, rep.logND2_term):
+            assert a.dtype == np.float64 and a.shape == (0,)
+        assert rep.W_total == 0.0
+        for v in (
+            rep.avg_logN_term, rep.avg_U1_term, rep.avg_U2_term, rep.avg_bound,
+            rep.u1_over_logX, rep.u2_over_logX, rep.u2_deviation,
+        ):
+            assert math.isnan(v)
+        assert rep.class_sign_map == {}
 
 
 @pytest.mark.parametrize(
