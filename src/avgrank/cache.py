@@ -37,8 +37,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     import numpy as np
 
-    from .arith import PrimeTable
-
 __all__ = [
     "MAGIC",
     "VERSION",
@@ -91,7 +89,7 @@ class ApCache:
         return int(self.records[lo, 3]) if lo < hi else None
 
 
-def cache_build(T: float, X: float, primes: PrimeTable | None = None) -> ApCache:
+def cache_build(T: float, X: float) -> ApCache:
     """Traces of every minimal curve in the box for all 5 <= p <= X."""
     import numpy as np
 
@@ -99,9 +97,7 @@ def cache_build(T: float, X: float, primes: PrimeTable | None = None) -> ApCache
     from .curves import sigma_p_batch
     from .families import _box
 
-    if primes is None:
-        primes = sieve_primes(int(X))
-    ps = primes.in_range(5, X)
+    ps = sieve_primes(int(X)).in_range(5, X)
     grid = _box(T)
     R, S = grid.cells()
     traces = np.empty((len(R), len(ps)), dtype=np.int64)

@@ -97,26 +97,23 @@ def int_root(x: float, k: int) -> int:
 
 
 class FamilyParams:
-    """The weighted box: T, the r and s weights (a fresh even_bump each when
-    not given) and the singularity / minimality filters."""
+    """The weighted box: T and the r and s weights (a fresh even_bump each
+    when not given).  Its family is C(T) inside the weight support;
+    lemma2_lhs sums over the whole weighted box instead."""
 
-    __slots__ = ("T", "weight_r", "weight_s", "minimal_only", "exclude_singular")
+    __slots__ = ("T", "weight_r", "weight_s")
 
     def __init__(
         self,
         T: float,
         weight_r: SmoothWeight | None = None,
         weight_s: SmoothWeight | None = None,
-        minimal_only: bool = True,
-        exclude_singular: bool = True,
     ):
         if T < 1:
             raise ValueError("FamilyParams requires T >= 1")
         self.T = T
         self.weight_r = even_bump() if weight_r is None else weight_r
         self.weight_s = even_bump() if weight_s is None else weight_s
-        self.minimal_only = minimal_only
-        self.exclude_singular = exclude_singular
 
 
 def enumerate_D(T: float) -> Iterator[Curve]:
@@ -171,19 +168,15 @@ class BoxGrid:
         return self.rv[i], self.sv[j]
 
 
-def _product_grid(
-    rv: np.ndarray, sv: np.ndarray, minimal_only: bool, exclude_singular: bool
-) -> BoxGrid:
-    """The product rv x sv with the singularity / minimality filters.
+def _product_grid(rv: np.ndarray, sv: np.ndarray, minimal_only: bool) -> BoxGrid:
+    """The nonsingular cells of the product rv x sv; with minimal_only, only
+    the minimal models among them.
 
-    A model is non-minimal when it is (0, 0) or some prime has p^4 | r and
+    A nonsingular model is non-minimal when some prime has p^4 | r and
     p^6 | s; such a p satisfies p^4 <= |r| or p^6 <= |s|.
     """
-    keep = np.ones((len(rv), len(sv)), dtype=bool)
-    if exclude_singular:
-        keep &= np.add.outer(4 * rv**3, 27 * sv**2) != 0
+    keep = np.add.outer(4 * rv**3, 27 * sv**2) != 0
     if minimal_only and keep.size:
-        keep &= (rv != 0)[:, None] | (sv != 0)
         rtop, stop = int(np.abs(rv).max()), int(np.abs(sv).max())
         for p in sieve_primes(max(int_root(rtop, 4), int_root(stop, 6))):
             keep &= (rv % p**4 != 0)[:, None] | (sv % p**6 != 0)
@@ -212,7 +205,7 @@ def _box(T: float, minimal_only: bool = True) -> BoxGrid:
     """The unweighted nonsingular box family as a grid; the default gives C(T)."""
     if T < 1:
         raise ValueError("box_grid requires T >= 1")
-    return _product_grid(*_box_axes(T), minimal_only, True)
+    return _product_grid(*_box_axes(T), minimal_only)
 
 
 def box_grid(T: float, minimal_only: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -223,18 +216,25 @@ def box_grid(T: float, minimal_only: bool = True) -> tuple[np.ndarray, np.ndarra
     return _box(T, minimal_only).cells()
 
 
-def _weighted_grid(params: FamilyParams) -> tuple[BoxGrid, np.ndarray]:
-    """The family inside the weight support, and each member's weight.
-
-    Rows and columns of zero weight are dropped before the filters run.
-    """
+def _weighted_axes(params: FamilyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rv, sv, wr, ws): the box's r and s values of positive weight, and
+    those weights."""
     T = params.T
     rv, sv = _box_axes(T)
     wr = np.asarray(params.weight_r(rv * T ** (-1 / 3)), dtype=np.float64)
     ws = np.asarray(params.weight_s(sv * T ** (-1 / 2)), dtype=np.float64)
     rin, sin = wr > 0, ws > 0
-    grid = _product_grid(rv[rin], sv[sin], params.minimal_only, params.exclude_singular)
-    return grid, np.multiply.outer(wr[rin], ws[sin])[grid.keep]
+    return rv[rin], sv[sin], wr[rin], ws[sin]
+
+
+def _weighted_grid(params: FamilyParams) -> tuple[BoxGrid, np.ndarray]:
+    """The minimal family inside the weight support, and each member's weight.
+
+    Rows and columns of zero weight are dropped before the filters run.
+    """
+    rv, sv, wr, ws = _weighted_axes(params)
+    grid = _product_grid(rv, sv, True)
+    return grid, np.multiply.outer(wr, ws)[grid.keep]
 
 
 def S_T(params: FamilyParams) -> float:
@@ -458,14 +458,11 @@ def _wavg(w: np.ndarray, x: np.ndarray, wsum: float) -> float:
     return math.fsum((w * x).tolist()) / wsum if wsum else math.nan
 
 
-def average_rank_experiment(
-    params: FamilyParams, X: float, C0: float = 0.0, primes: PrimeTable | None = None
-) -> RankBoundReport:
+def average_rank_experiment(params: FamilyParams, X: float, C0: float = 0.0) -> RankBoundReport:
     """Weighted averages of every rank-bound term over the minimal family."""
     if not 1 < X <= params.T ** (5 / 6):
         raise ValueError("average_rank_experiment requires 1 < X <= T^(5/6)")
-    if primes is None:
-        primes = sieve_primes(int(X))
+    primes = sieve_primes(int(X))
     grid, W = _weighted_grid(params)
     if len(W) == 0:
         raise ValueError("empty family: weight support contains no lattice points")
@@ -501,15 +498,15 @@ def average_rank_experiment(
 def lemma2_lhs(params: FamilyParams, P: float, primes: PrimeTable) -> float:
     """sum_{P < p <= 2P} | sum_{E in D} w_T(E) sigma_p(E) |.
 
-    The inner family is the unfiltered box (singular curves included), so
-    the params passed here should normally have exclude_singular=False and
-    minimal_only=False.
+    The inner sum runs over every cell of the weighted box, singular and
+    non-minimal models included.
     """
     if P < 5:
         raise ValueError("lemma2_lhs requires P >= 5")
-    grid, W = _weighted_grid(params)
+    rv, sv, wr, ws = _weighted_axes(params)
+    W = np.multiply.outer(wr, ws)
     total = []
     for p in primes.in_range(P + 1, 2 * P):
-        sig = sigma_p_batch(grid.rv[:, None], grid.sv, p)[grid.keep]
-        total.append(abs(math.fsum((W * sig).tolist())))
+        sig = sigma_p_batch(rv[:, None], sv, p)
+        total.append(abs(math.fsum((W * sig).ravel().tolist())))
     return math.fsum(total)

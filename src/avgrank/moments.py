@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import PrimeTable, sieve_primes
 from .curves import Curve, sigma_p
-from .families import _box, prime_terms, rank_bound_terms
+from .families import _box, int_root, prime_terms, rank_bound_terms
 from .weights import h_X
 
 __all__ = [
@@ -84,9 +84,7 @@ def count_C(T: float) -> int:
     return len(_box(T))
 
 
-def density_bound(
-    T: float, X: float, k: int, R: float, primes: PrimeTable | None = None
-) -> float:
+def density_bound(T: float, X: float, k: int, R: float) -> float:
     """Markov bound moment_2k / ((log T / 2)^(2k) * #C(T)) for rank >= R.
 
     Only meaningful when R >= 3 + 2 log T / log X, the regime where the
@@ -94,20 +92,18 @@ def density_bound(
     """
     if R < 3 + 2 * math.log(T) / math.log(X):
         raise ValueError("density_bound requires R >= 3 + 2 log T / log X")
-    return _markov(moment_2k(T, X, k, primes), T, k, count_C(T))
+    return _markov(moment_2k(T, X, k), T, k, count_C(T))
 
 
 def _markov(m: float, T: float, k: int, n_C: int) -> float:
     return m / ((0.5 * math.log(T)) ** (2 * k) * n_C)
 
 
-def type1_S(X: float, primes: PrimeTable | None = None) -> float:
+def type1_S(X: float) -> float:
     """S = sum_{100 < p <= X} (2 h_X(log p) log p)^2 / p; tends to (log^2 X)/3."""
     if X <= 100:
         return 0.0
-    if primes is None:
-        primes = sieve_primes(int(X))
-    p = primes.array()
+    p = sieve_primes(int(X)).array()
     p = p[(p > 100) & (p <= X)]
     lp = np.log(p.astype(np.float64))
     terms = (2.0 * h_X(lp, X) * lp) ** 2 / p
@@ -167,27 +163,26 @@ class MomentReport(NamedTuple):
     n_D: int
 
 
-def high_rank_census(
-    T: float, X: float, C0: float = 0.0, R_max: int = 8, primes: PrimeTable | None = None
-) -> MomentReport:
+def high_rank_census(T: float, X: float, C0: float = 0.0, R_max: int = 8) -> MomentReport:
     """Proxy census of high rank-bound curves plus Markov density bounds.
 
     The census thresholds the explicit-formula rank bound (true analytic
     ranks are out of reach), evaluated for all of C(T) by the batch route
     of average_rank_experiment; the Markov column uses the |V| moment
     mechanism with k and X chosen as in the density analysis.  The moment
-    depends on R only through k, so it is computed once per k.
+    depends on R only through k, so it is computed once per k.  n_D is
+    the box minus its singular cells (-3t^2, 2t^3), counted without a grid.
     """
     if X <= 1 or T <= math.e:
         raise ValueError("high_rank_census requires X > 1 and T > e")
-    if primes is None:
-        primes = sieve_primes(int(X))
     grid = _box(T)
-    logn, u1, u2 = rank_bound_terms(grid, X, primes)
+    logn, u1, u2 = rank_bound_terms(grid, X, sieve_primes(int(X)))
     logX = math.log(X)
     bounds = logn / logX + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
     n_C = len(grid)
-    n_D = len(_box(T, minimal_only=False))
+    rmax, smax = int_root(T, 3), int_root(T, 2)
+    t = min(math.isqrt(rmax // 3), int_root(smax // 2, 3))
+    n_D = (2 * rmax + 1) * (2 * smax + 1) - (2 * t + 1)
     rows = []
     moments = {}  # k -> moment_2k(T, XR, k)
     for R in range(0, R_max + 1):

@@ -70,22 +70,13 @@ class IdentityViolatedError(RuntimeError):
 class TwistFamily:
     """The twists of base with root number sign, weighted by weight(D / T).
 
-    N is the conductor of the base curve (supplied or surrogate), w its
-    root number (+-1, supplied); class_triple is an optional (k, delta, e)
-    filter.
+    N is the conductor of the base curve (supplied or surrogate) and w
+    its root number (+-1, supplied).
     """
 
-    __slots__ = ("base", "N", "w", "sign", "weight", "class_triple")
+    __slots__ = ("base", "N", "w", "sign", "weight")
 
-    def __init__(
-        self,
-        base: Curve,
-        N: int,
-        w: int,
-        sign: int,
-        weight: SmoothWeight,
-        class_triple: tuple[int, int, int] | None = None,
-    ):
+    def __init__(self, base: Curve, N: int, w: int, sign: int, weight: SmoothWeight):
         if w not in (-1, 1) or sign not in (-1, 1):
             raise ValueError("w and sign must be +-1")
         if N < 1:
@@ -93,18 +84,11 @@ class TwistFamily:
         lo, hi = weight.support
         if not (hi <= 0 or lo >= 0):
             raise ValueError("twist weight support must avoid 0")
-        if class_triple is not None:
-            k, delta, e = class_triple
-            if k not in (1, 3, 5, 7) or delta not in (-1, 1) or e not in (0, 2, 3):
-                raise ValueError(f"invalid class triple {class_triple}")
-            if (delta > 0) != (lo >= 0):
-                raise ValueError("weight support sign must match delta")
         self.base = base
         self.N = N
         self.w = w
         self.sign = sign
         self.weight = weight
-        self.class_triple = class_triple
 
 
 def twist_curve(base: Curve, D: int) -> Curve:
@@ -163,8 +147,9 @@ class TwistBatch(NamedTuple):
 
     Arrays over D ascending: the weights w(D / T), zeros included; the
     twist sign sign(D) chi_D(N), so that w_D = w * twist_sign; and the
-    class triple (k, delta, e) of class_decompose.  A batch serves both
-    root-number classes and any class filter of its (N, weight, T).
+    class triple (k, delta, e) of class_decompose, which the report's
+    class_sign_map reads.  A batch serves both root-number classes of its
+    (N, weight, T).
     """
 
     N: int
@@ -178,14 +163,11 @@ class TwistBatch(NamedTuple):
     e: np.ndarray
 
     def select(self, family: TwistFamily, T: float) -> np.ndarray:
-        """Mask of the rows enumerate_T_pm(family, T) emits."""
+        """Mask of the rows enumerate_T_pm(family, T) emits: nonzero weight
+        and root number w * twist_sign equal to family.sign."""
         if (family.N, family.weight, T) != (self.N, self.weight, self.T):
             raise ValueError("twist batch was built for another N, weight or T")
-        keep = (self.weights != 0.0) & (family.w * self.twist_sign == family.sign)
-        if family.class_triple is not None:
-            k, delta, e = family.class_triple
-            keep &= (self.k == k) & (self.delta == delta) & (self.e == e)
-        return keep
+        return (self.weights != 0.0) & (family.w * self.twist_sign == family.sign)
 
 
 def twist_batch(N: int, weight: SmoothWeight, T: float) -> TwistBatch:

@@ -124,20 +124,18 @@ def bump(support_lo: float, support_hi: float) -> SmoothWeight:
     return SmoothWeight(support=(lo, hi), smoothness="C-infinity", evaluator=ev)
 
 
-def even_bump(inner: float = 0.5, outer: float = 1.0) -> SmoothWeight:
-    """Even weight supported on +-[inner, outer]; zero near the origin.
+def even_bump() -> SmoothWeight:
+    """Even weight supported on +-[1/2, 1]; zero near the origin.
 
     This is the concrete realization of the curve-counting weights, which
     must be smooth, compactly supported and vanish at the origin.
     """
-    if not 0 < inner < outer:
-        raise ValueError("even_bump requires 0 < inner < outer")
-    half = bump(inner, outer)
+    half = bump(0.5, 1.0)
 
     def ev(x):
         return half.evaluator(np.abs(np.asarray(x, dtype=np.float64)))
 
-    return SmoothWeight(support=(-outer, outer), smoothness="C-infinity", evaluator=ev)
+    return SmoothWeight(support=(-1.0, 1.0), smoothness="C-infinity", evaluator=ev)
 
 
 def _smooth_step(t):

@@ -28,7 +28,7 @@ from avgrank.families import (
     rank_bound,
     weight_wT,
 )
-from avgrank.weights import h_X, plateau_bump
+from avgrank.weights import bump, h_X, plateau_bump
 
 
 def test_int_root():
@@ -204,7 +204,7 @@ def test_root_sieve_thin_grid_at_T_1e12_matches_scalar_surrogate():
     assert factorize(q1) == {q1: 1} and factorize(q2) == {q2: 1}
     two_logs = 8 * math.log(2) + math.log(q1)
     assert two_logs + math.log(q2) != 8 * math.log(2) + np.log(float(q1 * q2))
-    grid = _product_grid(rv, sv, True, True)
+    grid = _product_grid(rv, sv, True)
     R, S = grid.cells()
     assert not grid.keep[3, 3] and not grid.keep[4, 2] and grid.keep.sum() == grid.keep.size - 5
     rem, _ = _strip_2_3(discriminant(R, S))
@@ -284,17 +284,18 @@ def test_average_rank_experiment_validation():
 
 
 def test_lemma2_lhs_small():
-    params = FamilyParams(T=500.0, minimal_only=False, exclude_singular=False)
+    # the inner sum runs over every (r, s) of the box.  The second weights
+    # reach the singular (-3, +-2) and the non-minimal (0, 0), which the
+    # even_bump support |x| >= 1/2 leaves out at T = 500
     primes = sieve_primes(30)
-    val = lemma2_lhs(params, 10.0, primes)
-    assert val >= 0
-    # direct recomputation
-    grid, W = _weighted_grid(params)
-    R, S = grid.cells()
-    total = 0.0
-    for p in [11, 13, 17, 19]:
-        inner = math.fsum(
-            W[i] * sigma_p(int(R[i]), int(S[i]), p) for i in range(len(R))
+    full = bump(-1.0, 1.0)
+    for params in (FamilyParams(T=500.0), FamilyParams(T=500.0, weight_r=full, weight_s=full)):
+        val = lemma2_lhs(params, 10.0, primes)
+        assert val > 0
+        rmax, smax = int_root(params.T, 3), int_root(params.T, 2)
+        box = [Curve(r, s) for r in range(-rmax, rmax + 1) for s in range(-smax, smax + 1)]
+        total = math.fsum(
+            abs(math.fsum(weight_wT(c, params) * sigma_p(c.r, c.s, p) for c in box))
+            for p in [11, 13, 17, 19]
         )
-        total += abs(inner)
-    assert abs(val - total) < 1e-9
+        assert abs(val - total) < 1e-9

@@ -153,6 +153,12 @@ def test_high_rank_census():
             assert row.R >= 3 + 2 * math.log(200.0) / math.log(XR)
 
 
+@pytest.mark.parametrize("T", [3.0, 12.0, 13.0, 27.0, 2000.0, 1e4])
+def test_high_rank_census_n_D_is_the_box_minus_its_singular_cells(T):
+    # the singular cells (-3t^2, 2t^3) number 1, 3 and 5 across these T
+    assert high_rank_census(T, 10.0, R_max=0).n_D == len(_box(T, minimal_only=False))
+
+
 def test_high_rank_census_matches_scalar_rank_bound():
     T, X, C0 = 600.0, 50.0, 0.3
     rep = high_rank_census(T, X, C0, R_max=8)

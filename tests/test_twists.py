@@ -240,10 +240,6 @@ def test_twist_family_validation():
         TwistFamily(base=base, N=49, w=1, sign=0, weight=bump(0.2, 1.0))
     with pytest.raises(ValueError, match="N must be positive"):
         TwistFamily(base=base, N=0, w=1, sign=1, weight=bump(0.2, 1.0))
-    with pytest.raises(ValueError, match="invalid class triple"):
-        TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.2, 1.0), class_triple=(2, 1, 0))
-    with pytest.raises(ValueError, match="must match delta"):
-        TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.2, 1.0), class_triple=(1, -1, 0))
 
 
 def test_twist_average_experiment_smoke():
