@@ -31,8 +31,7 @@ for t in (0.0, 0.3, 1.0, 2.5):
     print(f"  t = {t:4.1f}:  quadrature {num:+.10f}   closed form {h_hat(t):+.10f}")
 
 X = 50.0
-w = SmoothWeight(support=(-1.0, 1.0), smoothness="triangular",
-                 evaluator=lambda t: kernel_k(t, X))
+w = SmoothWeight(support=(-1.0, 1.0), evaluator=lambda t: kernel_k(t, X))
 print(f"\nkernel k at X = {X:g}: plateau value 1/log^2 X = {1 / math.log(X) ** 2:.6f}")
 for t in (0.0, 0.5, 0.97, 0.999):
     print(f"  k({t:5.3f}) = {kernel_k(t, X):.6f}")

@@ -13,6 +13,7 @@ batch character-sum evaluation.
 from __future__ import annotations
 
 import math
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -64,11 +65,22 @@ class PrimeTable:
         return np.asarray(self.primes, dtype=np.int64)
 
 
+def _check_memory(need: int, subject: str) -> None:
+    """Raise ValueError when need bytes exceed the machine's physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"{subject} needs {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes.  limit < 2 gives an empty table."""
+    """Sieve of Eratosthenes.  limit < 2 gives an empty table.  A limit is rejected first when its
+    mask and 50 bytes (measured peak) per prime, pi < 1.25506 limit / ln limit, exceed memory."""
     limit = int(limit)
     if limit < 2:
         return PrimeTable(limit=limit, primes=())
+    _check_memory(limit + 1 + int(50 * 1.25506 * limit / math.log(limit)), f"the prime sieve to {limit}")
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):

@@ -29,7 +29,7 @@ import struct
 import sys
 from array import array
 from collections.abc import Iterable
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -63,30 +63,15 @@ class CorruptCacheError(RuntimeError):
 class ApCache:
     """In-memory view of a cache: a sorted (n, 4) int64 array of (r, s, p, a_p)."""
 
+    __slots__ = ("records",)
+
     def __init__(self, records: np.ndarray):
         if records.ndim != 2 or records.shape[1] != 4:
             raise ValueError("records must be an (n, 4) array")
         self.records = records
 
-    @cached_property
-    def _keys(self) -> np.ndarray:
-        """Contiguous (r, s, p) key columns, built on the first lookup."""
-        return self.records[:, :3].T.copy()
-
     def __len__(self) -> int:
         return len(self.records)
-
-    def lookup(self, r: int, s: int, p: int) -> int | None:
-        """a_p for the given key, or None when absent.
-
-        Narrows the sorted records to the r block, then the s block, then
-        the p row, by binary search on each key column.
-        """
-        lo, hi = 0, len(self.records)
-        for keys, v in zip(self._keys, (r, s, p)):
-            block = keys[lo:hi]
-            lo, hi = lo + block.searchsorted(v, "left"), lo + block.searchsorted(v, "right")
-        return int(self.records[lo, 3]) if lo < hi else None
 
 
 def cache_build(T: float, X: float) -> ApCache:
@@ -209,24 +194,32 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     """U1 for every curve of C(T), optionally served from a cache.
 
     The terms come from families.prime_terms over box_grid(T), one fsum per
-    curve, so each value equals the scalar U1 exactly.  With a cache, every
-    (curve, prime) key is looked up and a hit replaces the engine's trace;
-    a missing key keeps the engine's value.
+    curve, so each value equals the scalar U1 exactly.  The cache's records
+    are joined to the (curve, prime) keys by one searchsorted per prime: a
+    hit replaces the engine's trace, a miss (or no cache) keeps the engine's.
     """
     import numpy as np
 
     from .arith import sieve_primes
-    from .families import box_grid, fsum_rows, prime_terms
+    from .families import box_grid, fsum_rows, int_root, prime_terms
     from .weights import h_X
 
     primes = sieve_primes(int(X))
     R, S = box_grid(T)
-    keys = list(zip(R.tolist(), S.tolist()))
+    # key = cell * P + prime index, cell = (r + rmax)(2 smax + 1) + s + smax: rising strictly as
+    # the records are sorted by (r, s, p), and below the sentinel (box cells) * P, which fits int64,
+    # being close to the number of terms summed.  Two-sided compares: abs wraps at r = -2^63.
+    ps, rmax, smax = np.asarray(primes.in_range(5, X), dtype=np.int64), int_root(T, 3), int_root(T, 2)
+    r, s, p, a = (np.empty((0, 4), dtype=np.int64) if cache is None else cache.records).T
+    idx = ps.searchsorted(p)
+    m = (-rmax <= r) & (r <= rmax) & (-smax <= s) & (s <= smax) & (idx < len(ps))
+    m[m] = ps[idx[m]] == p[m]
+    width, P = 2 * smax + 1, len(ps)
+    keys = np.append(((r[m] + rmax) * width + s[m] + smax) * P + idx[m], (2 * rmax + 1) * width * P)
+    a, cells = np.append(a[m], 0), ((R + rmax) * width + S + smax) * P
     cols = []
-    for p, t1, _ in prime_terms(R, S, X, primes):
-        if cache is not None:
-            coef = -(math.log(p) / p) * h_X(math.log(p), X)
-            hits = [cache.lookup(r, s, p) for r, s in keys]
-            t1 = np.array([t if a is None else coef * a for t, a in zip(t1.tolist(), hits)])
-        cols.append(t1)
+    for j, (p, t1, _) in enumerate(prime_terms(R, S, X, primes)):
+        pos = keys.searchsorted(cells + j)
+        coef = -(math.log(p) / p) * h_X(math.log(p), X)
+        cols.append(np.where(keys[pos] == cells + j, coef * a[pos], t1))
     return fsum_rows(cols, len(R))

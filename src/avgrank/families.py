@@ -37,12 +37,11 @@ bit for bit.
 from __future__ import annotations
 
 import math
-import os
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import PrimeTable, sieve_primes
+from .arith import PrimeTable, _check_memory, sieve_primes
 from .curves import (
     Curve,
     ap,
@@ -191,13 +190,7 @@ def _box_axes(T: float) -> tuple[np.ndarray, np.ndarray]:
     rmax, smax = int_root(T, 3), int_root(T, 2)
     if 16 * (4 * rmax**3 + 27 * smax**2) >= 2**63:
         raise ValueError(f"T = {T:g} is too large: the box's discriminants exceed int64")
-    need = 8 * (2 * rmax + 1) * (2 * smax + 1)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"T = {T:g} is too large: the box needs {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
+    _check_memory(8 * (2 * rmax + 1) * (2 * smax + 1), f"T = {T:g} is too large: the box")
     return np.arange(-rmax, rmax + 1, dtype=np.int64), np.arange(-smax, smax + 1, dtype=np.int64)
 
 

@@ -49,12 +49,11 @@ _MAX_SPLITS = 4096  # bisections before fourier_numeric gives up
 class SmoothWeight(NamedTuple):
     """Nonnegative weight, exactly zero outside its (closed) support.
 
-    smoothness is "triangular", "C3" or "C-infinity".  Weights compare and
-    hash by value: TwistBatch.select matches its (N, weight, T) by ==.
+    Weights compare and hash by value: TwistBatch.select matches its
+    (N, weight, T) by ==.
     """
 
     support: tuple[float, float]
-    smoothness: str
     evaluator: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t):
@@ -99,7 +98,7 @@ def h_X(t, X: float):
 
 
 def triangular_weight() -> SmoothWeight:
-    return SmoothWeight(support=(-1.0, 1.0), smoothness="triangular", evaluator=h)
+    return SmoothWeight(support=(-1.0, 1.0), evaluator=h)
 
 
 def _bump_core(u):
@@ -121,7 +120,7 @@ def bump(support_lo: float, support_hi: float) -> SmoothWeight:
         u = (2.0 * np.asarray(x, dtype=np.float64) - lo - hi) / (hi - lo)
         return _bump_core(u)
 
-    return SmoothWeight(support=(lo, hi), smoothness="C-infinity", evaluator=ev)
+    return SmoothWeight(support=(lo, hi), evaluator=ev)
 
 
 def even_bump() -> SmoothWeight:
@@ -135,7 +134,7 @@ def even_bump() -> SmoothWeight:
     def ev(x):
         return half.evaluator(np.abs(np.asarray(x, dtype=np.float64)))
 
-    return SmoothWeight(support=(-1.0, 1.0), smoothness="C-infinity", evaluator=ev)
+    return SmoothWeight(support=(-1.0, 1.0), evaluator=ev)
 
 
 def _smooth_step(t):
@@ -163,7 +162,7 @@ def plateau_bump(
         x = np.asarray(x, dtype=np.float64)
         return _smooth_step((x - lo) / (flo - lo)) * _smooth_step((hi - x) / (hi - fhi))
 
-    return SmoothWeight(support=(lo, hi), smoothness="C-infinity", evaluator=ev)
+    return SmoothWeight(support=(lo, hi), evaluator=ev)
 
 
 @lru_cache(maxsize=None)

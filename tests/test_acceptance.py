@@ -163,7 +163,6 @@ def test_criterion_07_kernel():
     for X in (10.0, 100.0):
         w = SmoothWeight(
             support=(-1.0, 1.0),
-            smoothness="triangular",
             evaluator=lambda t, X=X: kernel_k(t, X),
         )
         for t in np.linspace(-6.7, 6.7, 41):

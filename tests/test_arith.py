@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,15 @@ def test_sieve_matches_known_list():
     assert list(sieve_primes(1)) == []
     assert list(sieve_primes(2)) == [2]
     assert len(sieve_primes(10**6)) == 78498
+
+
+def test_sieve_beyond_physical_memory_is_refused_before_allocating(monkeypatch):
+    # 32 MiB: the sieve to 1e7 (a 10 MB mask and 664,579 primes, ~43 MB at
+    # its peak) is refused with a message naming the limit; 1e5 still runs
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**13}.__getitem__)
+    with pytest.raises(ValueError, match=r"^the prime sieve to 10000000 needs 0\.0\d+ GiB, more than the 0\.0312 GiB"):
+        sieve_primes(10**7)
+    assert len(sieve_primes(10**5)) == 9592
 
 
 def test_prime_table_in_range():

@@ -27,9 +27,10 @@ from avgrank.cache import (
 from avgrank import cache as cache_mod
 from avgrank import cli, families, moments, twists
 from avgrank.cli import load_curve_data, main
-from avgrank.curves import Curve, ap
+from avgrank.curves import Curve, ap, sigma_p
 from avgrank.arith import sieve_primes
 from avgrank.families import U1, enumerate_C
+from avgrank.weights import h_X
 
 
 # ---------------------------------------------------------------------------
@@ -45,22 +46,44 @@ def test_cache_roundtrip(tmp_path):
     assert (loaded.records == c.records).all()
 
 
-def test_cache_lookup():
-    c = cache_build(20.0, 15.0)
-    for cur in enumerate_C(20.0):
-        for p in (5, 7, 11, 13):
-            assert c.lookup(cur.r, cur.s, p) == ap(cur, p).ap
-    assert c.lookup(999, 999, 5) is None
+def test_cache_build_records_match_ap():
+    # one record per curve of C(20) and prime 5..13, in (r, s, p) order
+    rec = cache_build(20.0, 15.0).records.tolist()
+    assert [row[:3] for row in rec] == [[c.r, c.s, p] for c in enumerate_C(20.0) for p in (5, 7, 11, 13)]
+    for r, s, p, a in rec:
+        assert a == ap(Curve(r, s), p).ap
 
 
-def test_cache_lookup_misses():
-    c = cache_build(20.0, 15.0)
-    r, s = (int(x) for x in c.records[0, :2])
-    assert c.lookup(r, s, 6) is None  # key falls between two p records
-    assert c.lookup(r, s, 17) is None  # past the last p of the (r, s) block
-    assert c.lookup(r - 1, s, 5) is None  # before the first record
-    assert c.lookup(r, 10**6, 5) is None
-    assert ApCache(records=np.empty((0, 4), dtype=np.int64)).lookup(0, 1, 5) is None
+def test_u1_sweep_cache_misses():
+    # a record that matches no (curve, prime) key leaves every value as the
+    # engine computes it, alone or sorted in among the hits; its a_p of 10^6
+    # would show in the sum if it were joined
+    T, X = 20.0, 15.0
+    direct = u1_sweep(T, X)
+    full = cache_build(T, X).records
+    r, s = full[0, :2].tolist()
+    rmax, smax = families.int_root(T, 3), families.int_root(T, 2)
+    lo, hi = -(2**63), 2**63 - 1
+    strays = (
+        [r, s, 6, 10**6],  # falls between the p = 5 and p = 7 records
+        [r, s, 17, 10**6],  # p > X
+        [-rmax - 1, s, 5, 10**6],  # (r, s) outside the box
+        [rmax + 1, s, 5, 10**6],
+        [r, smax + 1, 5, 10**6],
+        [r, -smax - 1, 5, 10**6],
+        [lo, s, 5, 10**6],  # abs(r) wraps here
+        [hi, s, 5, 10**6],
+        [r, hi, 5, 10**6],
+        [lo, lo, lo, 10**6],
+        [hi, hi, hi, 10**6],
+    )
+    for stray in strays:
+        one = np.array([stray], dtype=np.int64)
+        both = np.concatenate((full, one))
+        both = both[np.lexsort(both[:, 2::-1].T)]  # sorted by (r, s, p)
+        for rec in (one, both):
+            assert u1_sweep(T, X, cache=ApCache(records=rec)) == direct, stray
+    assert u1_sweep(T, X, cache=ApCache(records=np.empty((0, 4), dtype=np.int64))) == direct
 
 
 def test_apcache_requires_n_by_4_records():
@@ -234,6 +257,26 @@ def test_u1_sweep_cache_hits_and_misses():
     j = [(c.r, c.s) for c in enumerate_C(T)].index((r, s))
     assert swept[:j] + swept[j + 1 :] == direct[:j] + direct[j + 1 :]
     assert swept[j] != direct[j]
+
+
+def test_u1_sweep_cache_matches_scalar_reference():
+    # per curve, fsum of -(log p / p) h_X(log p) a, where a is the cached
+    # a_p when a record holds it and sigma_p otherwise; random halves of the
+    # records with random sign flips, so hits and misses interleave
+    T, X = 300.0, 40.0
+    ps = sieve_primes(int(X)).in_range(5, X)
+    curves = list(enumerate_C(T))
+    traces = {(c.r, c.s, p): sigma_p(c.r, c.s, p) for c in curves for p in ps}
+    full = cache_build(T, X).records
+    rng = np.random.default_rng(20)
+    for _ in range(4):
+        rec = full[rng.random(len(full)) < 0.5]
+        rec[rng.random(len(rec)) < 0.5, 3] *= -1
+        a = {**traces, **{(r, s, p): v for r, s, p, v in rec.tolist()}}
+        want = [
+            math.fsum(-(math.log(p) / p) * h_X(math.log(p), X) * a[c.r, c.s, p] for p in ps) for c in curves
+        ]
+        assert u1_sweep(T, X, cache=ApCache(records=rec)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +526,16 @@ def test_cli_cache_build_T_below_1_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "T >= 1" in _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["density", "cache build"])
+def test_cli_sieve_beyond_memory_exits_2_before_writing(tmp_path, capsys, monkeypatch, cmd):
+    # 64 KiB of physical memory: the box passes, the sieve to 2e4 is refused
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
+    rc = run_cli(_argv(cmd, tmp_path, "--X", "2e4"))
+    assert rc == 2
+    assert "the prime sieve to 20000 needs" in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_twists_empty_class_writes_null(tmp_path):

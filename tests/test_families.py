@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import numpy as np
@@ -109,6 +110,16 @@ def test_box_beyond_int64_is_rejected_before_allocating():
             box_grid(T)
         with pytest.raises(ValueError, match="discriminants exceed int64"):
             average_rank_experiment(FamilyParams(T=T), 10.0)
+
+
+def test_box_beyond_physical_memory_is_rejected_before_allocating(monkeypatch):
+    # 32 MiB against 2001 x 63245 cells of 8 bytes each
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**13}.__getitem__)
+    with pytest.raises(ValueError) as exc:
+        box_grid(1e9)
+    assert str(exc.value) == (
+        "T = 1e+09 is too large: the box needs 0.943 GiB, more than the 0.0312 GiB of physical memory"
+    )
 
 
 def test_family_grid_is_box_grid_on_weight_support():

@@ -201,7 +201,7 @@ def test_twist_batch_must_match_the_family():
     assert rep.D.tolist() == twist_average_experiment(fam, 150.0, 50.0).D.tolist()
     # weights match by value: a copy with the same fields serves the family
     w = fam.weight
-    copy = SmoothWeight(w.support, w.smoothness, w.evaluator)
+    copy = SmoothWeight(w.support, w.evaluator)
     assert copy == w and hash(copy) == hash(w)
     rep = twist_average_experiment(fam, 150.0, 50.0, batch=twist_batch(49, copy, 150.0))
     assert rep.D.tolist() == twist_average_experiment(fam, 150.0, 50.0).D.tolist()

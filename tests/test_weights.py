@@ -125,7 +125,6 @@ def test_kernel_k_hat_matches_quadrature():
     for X in (10.0, 100.0):
         w = SmoothWeight(
             support=(-1.0, 1.0),
-            smoothness="triangular",
             evaluator=lambda t, X=X: kernel_k(t, X),
         )
         for t in [0.0, 0.2, 0.9, 1.7, 4.3]:
@@ -165,7 +164,7 @@ def _quad_oracle(weight, t):
     return complex(re, -im)
 
 
-_K100 = SmoothWeight((-1.0, 1.0), "triangular", lambda x: kernel_k(x, 100.0))
+_K100 = SmoothWeight((-1.0, 1.0), lambda x: kernel_k(x, 100.0))
 
 
 @pytest.mark.parametrize(
