@@ -206,15 +206,16 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
 
     primes = sieve_primes(int(X))
     R, S = box_grid(T)
-    # key = cell * P + prime index, cell = (r + rmax)(2 smax + 1) + s + smax: rising strictly as
-    # the records are sorted by (r, s, p), and below the sentinel (box cells) * P, which fits int64,
-    # being close to the number of terms summed.  Two-sided compares: abs wraps at r = -2^63.
-    ps, rmax, smax = np.asarray(primes.in_range(5, X), dtype=np.int64), int_root(T, 3), int_root(T, 2)
+    ps = np.asarray(primes.in_range(5, X), dtype=np.int64)
+    rmax, smax, P = int_root(T, 3), int_root(T, 2), len(ps)
+    width = 2 * smax + 1
+    # key = cell * P + prime index with cell = (r + rmax) * width + s + smax: strictly increasing, as
+    # the records are sorted by (r, s, p), and below the sentinel (box cells) * P, which fits int64
+    # as it is close to the number of terms summed.  Two-sided compares: abs wraps at r = -2^63.
     r, s, p, a = (np.empty((0, 4), dtype=np.int64) if cache is None else cache.records).T
     idx = ps.searchsorted(p)
-    m = (-rmax <= r) & (r <= rmax) & (-smax <= s) & (s <= smax) & (idx < len(ps))
+    m = (-rmax <= r) & (r <= rmax) & (-smax <= s) & (s <= smax) & (idx < P)
     m[m] = ps[idx[m]] == p[m]
-    width, P = 2 * smax + 1, len(ps)
     keys = np.append(((r[m] + rmax) * width + s[m] + smax) * P + idx[m], (2 * rmax + 1) * width * P)
     a, cells = np.append(a[m], 0), ((R + rmax) * width + S + smax) * P
     cols = []
