@@ -7,28 +7,25 @@ Because N is an odd square here, the sign of the functional equation is
 decided by sign(D) alone, which makes the partition easy to see.
 """
 
-from avgrank import Curve, TwistFamily, bump, theorem4_proportions, twist_average_experiment
+from avgrank import Curve, bump, theorem4_proportions, twist_average_experiment
 
 base = Curve(1, 1)
 N, w = 49, 1
 T, X = 400.0, 60.0
 
-plus = TwistFamily(base=base, N=N, w=w, sign=1, weight=bump(0.2, 1.0))
-minus = TwistFamily(base=base, N=N, w=w, sign=-1, weight=bump(-1.0, -0.2))
-
-rep_plus = twist_average_experiment(plus, T, X)
-rep_minus = twist_average_experiment(minus, T, X)
+# one call over both weight supports; each root-number class is a mask of its rows
+rep = twist_average_experiment(base, N, w, (bump(0.2, 1.0), bump(-1.0, -0.2)), T, X)
 
 print(f"base curve (r, s) = ({base.r}, {base.s}), N = {N}, w = {w:+d}")
 print(f"twist height T = {T:g}, prime cutoff X = {X:g}")
 print()
-for name, rep in (("plus", rep_plus), ("minus", rep_minus)):
-    print(f"{name:>5s} family: {len(rep.D)} discriminants, "
-          f"total weight {rep.W_total:.4f}, avg rank bound {rep.avg_bound:.4f}")
-    print(f"       class -> sign map: {rep.class_sign_map}")
+for name, sign in (("plus", 1), ("minus", -1)):
+    print(f"{name:>5s} family: {int((rep.sign == sign).sum())} discriminants, "
+          f"total weight {rep.W[sign]:.4f}, avg rank bound {rep.avg_bound[sign]:.4f}")
+print(f"class (k, delta, e) -> signs map: {rep.class_sign_map}")
 
 print()
-p0, p1 = theorem4_proportions(rep_plus.avg_bound, rep_minus.avg_bound)
+p0, p1 = theorem4_proportions(rep.avg_bound[1], rep.avg_bound[-1])
 print("if the averages were at their conjectural limits these would give")
 print(f"  lower proportion of rank-0 twists in the plus family : {p0:.3f}")
 print(f"  lower proportion of rank-1 twists in the minus family: {p1:.3f}")

@@ -80,10 +80,8 @@ _EXPORTS = {
     "twists": (
         "IdentityViolatedError",
         "TwistBatch",
-        "TwistFamily",
         "TwistReport",
         "class_decompose",
-        "enumerate_T_pm",
         "fundamental_discriminants",
         "poisson_twist_check",
         "root_number",

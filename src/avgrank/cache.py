@@ -61,13 +61,21 @@ class CorruptCacheError(RuntimeError):
 
 
 class ApCache:
-    """In-memory view of a cache: a sorted (n, 4) int64 array of (r, s, p, a_p)."""
+    """In-memory view of a cache: a sorted (n, 4) int64 array of (r, s, p, a_p).
+
+    The records must be strictly sorted by (r, s, p), as in a file: u1_sweep
+    joins them by searchsorted, which unsorted keys would silently miss.
+    """
 
     __slots__ = ("records",)
 
     def __init__(self, records: np.ndarray):
         if records.ndim != 2 or records.shape[1] != 4:
             raise ValueError("records must be an (n, 4) array")
+        (r0, s0, p0), (r1, s1, p1) = records[:-1, :3].T, records[1:, :3].T
+        ordered = (r0 < r1) | ((r0 == r1) & ((s0 < s1) | ((s0 == s1) & (p0 < p1))))
+        if not ordered.all():
+            raise ValueError(f"records not strictly sorted by (r, s, p) at index {ordered.argmin() + 1}")
         self.records = records
 
     def __len__(self) -> int:
@@ -78,13 +86,15 @@ def cache_build(T: float, X: float) -> ApCache:
     """Traces of every minimal curve in the box for all 5 <= p <= X."""
     import numpy as np
 
-    from .arith import sieve_primes
+    from .arith import _check_memory, sieve_primes
     from .curves import sigma_p_batch
     from .families import _box
 
     ps = sieve_primes(int(X)).in_range(5, X)
     grid = _box(T)
     R, S = grid.cells()
+    # 8 bytes of traces and 32 of records for each (curve, prime)
+    _check_memory(40 * len(R) * len(ps), f"the a_p cache of {len(R)} curves and {len(ps)} primes")
     traces = np.empty((len(R), len(ps)), dtype=np.int64)
     for j, p in enumerate(ps):
         traces[:, j] = sigma_p_batch(grid.rv[:, None], grid.sv, p)[grid.keep]

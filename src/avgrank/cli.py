@@ -290,10 +290,7 @@ def cmd_twists(args) -> int:
     # checked before numpy loads and before anything is sieved
     if not 1 < X <= T * T:
         raise ConfigError("twists requires 1 < X <= T^2")
-    import numpy as np
-
     from . import twists, weights
-    from .arith import sieve_primes
     from .curves import Curve
 
     C0 = float(args.C0 or 0.0)
@@ -308,39 +305,14 @@ def cmd_twists(args) -> int:
         N, w = args.N, args.w
         if base.singular:
             raise ConfigError(f"base curve ({base.r}, {base.s}) is singular")
-    # one prime table for all four experiments
-    primes = sieve_primes(int(X))
-    reports = {1: [], -1: []}
-    unsigned = []
-    for wgt in (weights.bump(0.5, 1.0), weights.bump(-1.0, -0.5)):
-        batch = twists.twist_batch(N, wgt, T)
-        unsigned.append(batch.weights)
-        for sign, pair in reports.items():
-            fam = twists.TwistFamily(base=base, N=N, w=w, sign=sign, weight=wgt)
-            pair.append(twists.twist_average_experiment(fam, T, X, C0, primes, batch))
-    # partition check: the two signed weight totals must exhaust the
-    # unsigned total over all admissible discriminants, summed left to
-    # right in increasing D, positive support first
-    unsigned_total = 0.0
-    for batch_weights in unsigned:
-        for wv in batch_weights.tolist():
-            unsigned_total += wv
-    W, avg = {}, {}
-    for sign, pair in reports.items():
-        W[sign] = math.fsum(r.W_total for r in pair)
-        avg[sign] = math.nan
-        if W[sign] > 0:
-            avg[sign] = math.fsum(r.W_total * r.avg_bound for r in pair if not r.empty) / W[sign]
+    # W_unsigned sums the positive support first
+    supports = (weights.bump(0.5, 1.0), weights.bump(-1.0, -0.5))
+    rep = twists.twist_average_experiment(base, N, w, supports, T, X, C0)
+    W, avg = rep.W, rep.avg_bound
     if W[1] > 0 and W[-1] > 0:
         prop0, prop1 = twists.theorem4_proportions(max(avg[1], 0.0), max(avg[-1], 0.0))
     else:
         prop0 = prop1 = math.nan
-    class_map = {}
-    for pair in reports.values():
-        for rep in pair:
-            for triple, signs in rep.class_sign_map.items():
-                key = f"{triple[0]},{triple[1]},{triple[2]}"
-                class_map.setdefault(key, set()).update(signs)
     summary = {
         "T": T,
         "X": X,
@@ -348,23 +320,16 @@ def cmd_twists(args) -> int:
         "base": {"r": base.r, "s": base.s, "N": N, "w": w},
         "W_plus": W[1],
         "W_minus": W[-1],
-        "W_unsigned": unsigned_total,
-        "partition_gap": abs(unsigned_total - W[1] - W[-1]),
+        "W_unsigned": rep.W_unsigned,
+        # the two signed weight totals must exhaust the unsigned total
+        "partition_gap": abs(rep.W_unsigned - W[1] - W[-1]),
         "avg_bound_plus": _finite_or_none(avg[1]),
         "avg_bound_minus": _finite_or_none(avg[-1]),
         "proportion_rank0_lower": _finite_or_none(prop0),
         "proportion_rank1_lower": _finite_or_none(prop1),
-        "class_sign_map": {k: sorted(v) for k, v in sorted(class_map.items())},
+        "class_sign_map": {"%d,%d,%d" % triple: signs for triple, signs in rep.class_sign_map.items()},
     }
-    # the rows of all four reports, ordered by (D, sign)
-    parts = [(sign, rep) for sign, pair in reports.items() for rep in pair]
-    D = np.concatenate([rep.D for _, rep in parts])
-    signs = np.concatenate([np.full(len(rep.D), sign) for sign, rep in parts])
-    order = np.lexsort((signs, D))
-    cols = [D[order], signs[order]] + [
-        np.concatenate([getattr(rep, name) for _, rep in parts])[order]
-        for name in ("weight", "logN_term", "U1_raw", "U2_raw", "bound")
-    ]
+    cols = (rep.D, rep.sign, rep.weight, rep.logN_term, rep.U1_raw, rep.U2_raw, rep.bound)
     _write_outputs(args, TWISTS_HEADER, TWISTS_ROW, cols, summary)
     if W[1] == 0 and W[-1] == 0:
         print("error: empty twist family", file=sys.stderr)

@@ -5,17 +5,18 @@ the twist set splits by (k, delta, e): sign of D, 2-adic valuation, and the
 residue mod 8 of the odd squarefree part.  twist_batch takes the
 fundamental discriminants of one weight support as one int64 array and
 computes their weights, root-number signs and class triples in array
-passes; the average-rank experiment selects one root-number class from
-it and reduces every twist to its minimal model on arrays, with d and the
-conductor surrogate read off the factorisation of the base discriminant
-and the residues of D.  The prime sums of all minimal twists then come
-from families.prime_terms, the batch route of the box family, on
-Python-int arrays; each curve's U1 and U2 are the math.fsum of its row
-of terms, exactly as the scalar U1 / U2 sum them.  The traces are those
-of the minimal models, not chi_D(p) a_p(E): the two differ when p | D and
-star_map divides p out of the twist.  The scalar root_number,
-class_decompose, star_map and conductor_surrogate are the oracles of
-these array steps.
+passes.  The average-rank experiment takes the rows of nonzero weight
+from every support of a command and reduces all of them to their minimal
+models in one array pass, with d and the conductor surrogate read off the
+one factorisation of the base discriminant and the residues of D.  The
+prime sums of all minimal twists then come from one families.prime_terms
+pass, the batch route of the box family, on Python-int arrays; each
+curve's U1 and U2 are the math.fsum of its row of terms, exactly as the
+scalar U1 / U2 sum them, and each root-number class is a mask of the rows.
+The traces are those of the minimal models, not chi_D(p) a_p(E): the two
+differ when p | D and star_map divides p out of the twist.  The scalar
+root_number, class_decompose, star_map and conductor_surrogate are the
+oracles of these array steps.
 
 poisson_twist_check verifies the Poisson / Gauss-sum dual-sum identity
 used to average character sums over twists, by computing both sides
@@ -25,7 +26,7 @@ numerically.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .families import _wavg, fsum_rows, prime_terms
 from .weights import QuadratureError, SmoothWeight, fourier_numeric
 
 __all__ = [
-    "TwistFamily",
     "TwistReport",
     "TwistBatch",
     "IdentityViolatedError",
@@ -53,7 +53,6 @@ __all__ = [
     "root_number",
     "fundamental_discriminants",
     "twist_batch",
-    "enumerate_T_pm",
     "class_decompose",
     "sieve_indicator_X",
     "twist_average_experiment",
@@ -65,30 +64,6 @@ __all__ = [
 
 class IdentityViolatedError(RuntimeError):
     """Both sides of the dual-sum identity disagree beyond tolerance."""
-
-
-class TwistFamily:
-    """The twists of base with root number sign, weighted by weight(D / T).
-
-    N is the conductor of the base curve (supplied or surrogate) and w
-    its root number (+-1, supplied).
-    """
-
-    __slots__ = ("base", "N", "w", "sign", "weight")
-
-    def __init__(self, base: Curve, N: int, w: int, sign: int, weight: SmoothWeight):
-        if w not in (-1, 1) or sign not in (-1, 1):
-            raise ValueError("w and sign must be +-1")
-        if N < 1:
-            raise ValueError("N must be positive")
-        lo, hi = weight.support
-        if not (hi <= 0 or lo >= 0):
-            raise ValueError("twist weight support must avoid 0")
-        self.base = base
-        self.N = N
-        self.w = w
-        self.sign = sign
-        self.weight = weight
 
 
 def twist_curve(base: Curve, D: int) -> Curve:
@@ -152,22 +127,12 @@ class TwistBatch(NamedTuple):
     (N, weight, T).
     """
 
-    N: int
-    weight: SmoothWeight
-    T: float
     D: np.ndarray
     weights: np.ndarray
     twist_sign: np.ndarray
     k: np.ndarray
     delta: np.ndarray
     e: np.ndarray
-
-    def select(self, family: TwistFamily, T: float) -> np.ndarray:
-        """Mask of the rows enumerate_T_pm(family, T) emits: nonzero weight
-        and root number w * twist_sign equal to family.sign."""
-        if (family.N, family.weight, T) != (self.N, self.weight, self.T):
-            raise ValueError("twist batch was built for another N, weight or T")
-        return (self.weights != 0.0) & (family.w * self.twist_sign == family.sign)
 
 
 def twist_batch(N: int, weight: SmoothWeight, T: float) -> TwistBatch:
@@ -191,7 +156,7 @@ def twist_batch(N: int, weight: SmoothWeight, T: float) -> TwistBatch:
     e = _two_adic(D)
     delta = np.sign(D)
     return TwistBatch(
-        N=N, weight=weight, T=T, D=D,
+        D=D,
         weights=np.asarray(weight(D / T), dtype=np.float64),
         twist_sign=delta * _kronecker_array(D, n),
         k=(absD >> e) % 8, delta=delta, e=e,
@@ -271,16 +236,6 @@ def _minimal_twists(
     return R, S, disc, cond
 
 
-def enumerate_T_pm(family: TwistFamily, T: float) -> Iterator[tuple[int, float]]:
-    """(D, w(D/T)) over fundamental D with gcd(D, N) = 1 and w_D = family.sign.
-
-    Emitted in increasing order of D; zero-weight discriminants are skipped.
-    """
-    batch = twist_batch(family.N, family.weight, T)
-    keep = batch.select(family, T)
-    yield from zip(batch.D[keep].tolist(), batch.weights[keep].tolist())
-
-
 def class_decompose(D: int) -> tuple[int, int, int, int]:
     """D = delta * 2^e * nhat with nhat odd squarefree; returns (k, delta, e, nhat)
     where k = nhat mod 8."""
@@ -314,90 +269,105 @@ def sieve_indicator_X(n: int, T: float, N: int) -> int:
 
 
 class TwistReport(NamedTuple):
-    """Per-discriminant rank-bound terms and family aggregates for one sign.
+    """Per-discriminant rank-bound terms of a twist family and the
+    aggregates of its two root-number classes.
 
-    logND2_term is a diagnostic, the log(N D^2) / log X upper bound;
-    u2_deviation is max |U2 - (log X)/4| / log log |D|; class_sign_map
-    maps each class triple (k, delta, e) of the rows to [sign].  An empty
-    class has empty arrays, NaN averages and an empty map.
+    The rows are the fundamental D coprime to N of nonzero weight in any
+    of the weight supports, in ascending D, with the root number w_D as
+    sign and the weight of their support.  W and avg_bound map each sign
+    +1, -1 to the total weight and the weighted average bound of its
+    class, NaN for an empty class; W_unsigned is the total weight of every
+    admissible D, zeros included.  class_sign_map maps each class triple
+    (k, delta, e) of the rows to the signs its rows take, ascending.
     """
 
-    T: float
-    X: float
-    C0: float
-    sign: int
-    empty: bool
     D: np.ndarray
+    sign: np.ndarray
     weight: np.ndarray
     logN_term: np.ndarray
     U1_raw: np.ndarray
     U2_raw: np.ndarray
     bound: np.ndarray
-    logND2_term: np.ndarray
-    W_total: float
-    avg_logN_term: float
-    avg_U1_term: float
-    avg_U2_term: float
-    avg_bound: float
-    u1_over_logX: float
-    u2_over_logX: float
-    u2_deviation: float
+    W_unsigned: float
+    W: dict
+    avg_bound: dict
     class_sign_map: dict
 
 
 def twist_average_experiment(
-    family: TwistFamily,
+    base: Curve,
+    N: int,
+    w: int,
+    weights: Sequence[SmoothWeight],
     T: float,
     X: float,
     C0: float = 0.0,
-    primes: PrimeTable | None = None,
-    batch: TwistBatch | None = None,
 ) -> TwistReport:
-    """Explicit-formula averages over the selected twist class.
+    """Explicit-formula bounds over the twists of base in every weight support.
 
-    The rows are those of enumerate_T_pm, taken from batch (built here
-    when None; one batch serves both signs of a weight).  The twists are
-    reduced to their minimal models on arrays before the prime sums are
-    evaluated, all twists at once per prime; the conductor surrogate
-    takes the known prime divisors of D and of the base discriminant,
-    and the crude N*D^2 bound is reported alongside as a diagnostic.
+    N is the conductor of the base curve (supplied or surrogate) and w its
+    root number.  One twist_batch per support gives the admissible D; the
+    rows of nonzero weight from all supports are reduced to their minimal
+    models in one array pass, one factorisation of Delta_E, and their prime
+    sums taken in one prime_terms pass, all twists at once per prime.  The
+    conductor surrogate takes the known prime divisors of D and of Delta_E.
+
+    Each D has one sign, so each root-number class is a mask of the rows.
+    The class aggregates round twice, as if each (support, sign) class had
+    been summed on its own and merged: the W of a (support, sign) class is
+    the fsum of its weights, W[sign] the fsum of those class totals, and
+    avg_bound[sign] the fsum of W times the average bound over the
+    nonempty classes of that sign, divided by W[sign].  That keeps W and
+    avg_bound bit for bit where one sign spans both supports (N = 389).
+    W_unsigned is the plain left-to-right sum of every batch's weights,
+    zeros included, in the order of weights.
     """
+    if w not in (-1, 1):
+        raise ValueError("w and sign must be +-1")
+    if N < 1:
+        raise ValueError("N must be positive")
+    for weight in weights:
+        lo, hi = weight.support
+        if not (hi <= 0 or lo >= 0):
+            raise ValueError("twist weight support must avoid 0")
     if not 1 < X <= T * T:
         raise ValueError("twist_average_experiment requires 1 < X <= T^2")
-    if primes is None:
-        primes = sieve_primes(int(X))
-    if batch is None:
-        batch = twist_batch(family.N, family.weight, T)
-    keep = batch.select(family, T)
-    D, w = batch.D[keep], batch.weights[keep]
-    logX = math.log(X)
+    batches = [twist_batch(N, weight, T) for weight in weights]
+    # every batch's rows, support after support
+    rows = TwistBatch(*(np.concatenate(col) for col in zip(*batches)))
+    W_unsigned = 0.0
+    for wv in rows.weights.tolist():
+        W_unsigned += wv
+    support = np.repeat(np.arange(len(batches)), [len(b.D) for b in batches])
+    keep = np.flatnonzero(rows.weights != 0.0)
+    keep = keep[np.argsort(rows.D[keep], kind="stable")]
+    D, wt, support = rows.D[keep], rows.weights[keep], support[keep]
+    sign = w * rows.twist_sign[keep]
     # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
-    R, S, _, cond = _minimal_twists(family.base, D)
-    terms = list(prime_terms(R, S, X, primes)) if len(D) else []
-    u1a = np.asarray(fsum_rows([t1 for _, t1, _ in terms], len(R)))
-    u2a = np.asarray(fsum_rows([t2 for _, _, t2 in terms if t2 is not None], len(R)))
+    R, S, _, cond = _minimal_twists(base, D)
+    terms = list(prime_terms(R, S, X, sieve_primes(int(X)))) if len(D) else []
+    u1a = np.asarray(fsum_rows([t1 for _, t1, _ in terms], len(D)))
+    u2a = np.asarray(fsum_rows([t2 for _, _, t2 in terms if t2 is not None], len(D)))
+    logX = math.log(X)
     lt = np.array([math.log(n) for n in cond.tolist()]) / logX
     bound = lt + (2.0 / logX) * (u1a + u2a) + C0 / logX
-    devs = np.abs(u2a - logX / 4.0) / np.log(np.log(np.maximum(np.abs(D), 16)))
-    nd2_t = (math.log(family.N) + 2.0 * np.log(np.abs(D))) / logX
-    wsum = math.fsum(w.tolist())
-    triples = np.stack((batch.k, batch.delta, batch.e))[:, keep]
-    _, first = np.unique(triples[0] * 16 + triples[1] * 4 + triples[2], return_index=True)
-
+    W, avg_bound = {}, {}
+    for s in (1, -1):
+        parts = [m for m in ((support == i) & (sign == s) for i in range(len(batches))) if m.any()]
+        Wc = [math.fsum(wt[m].tolist()) for m in parts]
+        W[s] = math.fsum(Wc)
+        avg_bound[s] = math.nan
+        if W[s] > 0:
+            avg_bound[s] = math.fsum(Wi * _wavg(wt[m], bound[m], Wi) for m, Wi in zip(parts, Wc)) / W[s]
+    class_sign_map = {}
+    classes = np.stack((rows.k[keep], rows.delta[keep], rows.e[keep], sign), axis=1)
+    for *triple, s in np.unique(classes, axis=0).tolist():
+        class_sign_map.setdefault(tuple(triple), []).append(s)
     return TwistReport(
-        T=T, X=X, C0=C0, sign=family.sign, empty=not len(D),
-        D=D, weight=w,
+        D=D, sign=sign, weight=wt,
         logN_term=lt, U1_raw=u1a, U2_raw=u2a, bound=bound,
-        logND2_term=nd2_t,
-        W_total=wsum,
-        avg_logN_term=_wavg(w, lt, wsum),
-        avg_U1_term=_wavg(w, (2.0 / logX) * u1a, wsum),
-        avg_U2_term=_wavg(w, (2.0 / logX) * u2a, wsum),
-        avg_bound=_wavg(w, bound, wsum),
-        u1_over_logX=_wavg(w, u1a, wsum) / logX,
-        u2_over_logX=_wavg(w, u2a, wsum) / logX,
-        u2_deviation=float(devs.max()) if len(D) else math.nan,
-        class_sign_map={tuple(t): [family.sign] for t in triples[:, first].T.tolist()},
+        W_unsigned=W_unsigned, W=W, avg_bound=avg_bound,
+        class_sign_map=class_sign_map,
     )
 
 

@@ -17,18 +17,20 @@ import numpy as np
 from . import cache as cache_mod
 from . import oracles, twists, weights
 from .arith import sieve_primes
-from .curves import sigma_p, sigma_p_charsum
+from .curves import sigma_p, sigma_p_batch, sigma_p_charsum
 
 __all__ = ["SUITES"]
 
 
 def _suite_traces() -> bool:
-    primes = sieve_primes(50)
-    for r in range(-4, 5):
-        for s in range(-4, 5):
-            for p in primes.in_range(5, 50):
+    """The two scalar oracles and the batch engine agree on a 9 x 9 rectangle."""
+    rv = np.arange(-4, 5)
+    for p in sieve_primes(50).in_range(5, 50):
+        batch = sigma_p_batch(rv[:, None], rv, p)
+        for r in range(-4, 5):
+            for s in range(-4, 5):
                 a = sigma_p(r, s, p)
-                if a != sigma_p_charsum(r, s, p) or a * a > 4 * p:
+                if a != sigma_p_charsum(r, s, p) or a * a > 4 * p or batch[r + 4, s + 4] != a:
                     return False
     return True
 

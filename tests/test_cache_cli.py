@@ -124,13 +124,33 @@ def test_cache_load_rejects_bad_magic_and_version(tmp_path):
         cache_load(bad)
 
 
+def test_apcache_rejects_unsorted_records():
+    # reversed, the records would make u1_sweep's join miss every one of them
+    rec = cache_build(300.0, 40.0).records
+    with pytest.raises(ValueError, match=r"not strictly sorted by \(r, s, p\) at index 1$"):
+        ApCache(records=rec[::-1].copy())
+    # a duplicate key; two primes of one curve swapped
+    dup, swap = rec.copy(), rec.copy()
+    dup[6, :3] = rec[5, :3]
+    swap[[7, 8]] = rec[[8, 7]]
+    for bad, at in ((dup, 6), (swap, 8)):
+        assert bad[at, 0] == bad[at - 1, 0] and bad[at, 1] == bad[at - 1, 1]
+        with pytest.raises(ValueError, match=f"at index {at}$"):
+            ApCache(records=bad)
+
+
+def _write_records(path, rec: np.ndarray) -> None:
+    """A cache file of rec as given, sorted or not, as another writer may leave it."""
+    path.write_bytes(cache_mod._HEADER.pack(MAGIC, cache_mod.VERSION, len(rec)) + rec.astype("<i8").tobytes())
+
+
 def test_cache_load_rejects_unsorted_and_hasse(tmp_path):
     c = cache_build(10.0, 10.0)
     path = tmp_path / "c.apcache"
     # swap two records to break sortedness
     rec = c.records.copy()
     rec[[0, 1]] = rec[[1, 0]]
-    cache_save(ApCache(records=rec), path)
+    _write_records(path, rec)
     with pytest.raises(CorruptCacheError, match="sorted"):
         cache_load(path)
     # corrupt an a_p beyond the Hasse bound
@@ -209,7 +229,7 @@ def test_block_validator_matches_full_body_reference(tmp_path, monkeypatch):
         rec = base[: rng.randrange(1, len(base) + 1)].copy()
         for _ in range(rng.choice((0, 1, 1, 2, 3))):
             _corrupt(rec, rng)
-        cache_save(ApCache(records=rec), path)
+        _write_records(path, rec)
         want = _reference_verdict(path, rec)
         verdicts.add(want is None or want.split(": ")[1][:5])
         for read in (cache_check, cache_load):
@@ -536,6 +556,31 @@ def test_cli_sieve_beyond_memory_exits_2_before_writing(tmp_path, capsys, monkey
     assert rc == 2
     assert "the prime sieve to 20000 needs" in _one_error_line(capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_cache_build_beyond_memory_exits_2_before_writing(tmp_path, capsys, monkeypatch):
+    # 1 MiB of physical memory: the sieve to 200 and the box at T = 1e3
+    # pass, the ~1300 x 44 records of 40 bytes each are refused
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+    rc = run_cli(["cache", "build", "--T", "1e3", "--X", "200", "--out", str(tmp_path / "c.apcache")])
+    assert rc == 2
+    assert "the a_p cache of " in _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_verify_checks_the_batch_engine(capsys, monkeypatch):
+    # one trace of the 9 x 9 rectangle off at p = 47: the scalar oracles
+    # still agree, so only the engine check can fail
+    from avgrank import curves, verify
+
+    def wrong(r, s, p):
+        a = curves.sigma_p_batch(r, s, p)
+        return np.where((r == 4) & (s == -4) & (p == 47), a + 2, a)
+
+    monkeypatch.setattr(verify, "sigma_p_batch", wrong)
+    assert run_cli(["verify"]) == 4
+    out = capsys.readouterr()
+    assert "FAIL traces\n" in out.out and out.err == "failing suites: traces\n"
 
 
 def test_cli_twists_empty_class_writes_null(tmp_path):
@@ -873,51 +918,22 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
     assert capsys.readouterr().out == HELP_TEXTS[command]
 
 
-class _FakeReport:
-    """The parts of a TwistReport that cmd_twists reads."""
-
-    def __init__(self, sign, D, rng):
-        n = len(D)
-        self.D = np.array(D, dtype=np.int64)
-        self.weight, self.logN_term, self.U1_raw, self.U2_raw, self.bound = (
-            np.array([rng.choice((0.1, 1 / 3, -0.0, 1e-300, 2.5e17, rng.uniform(-1, 1))) for _ in range(n)])
-            for _ in range(5)
-        )
-        self.empty = n == 0
-        self.W_total = float(n)
-        self.avg_bound = 0.25 * sign
-        self.class_sign_map = {(1, sign, 0): {sign}}
-
-
-def _old_twists_rows(reports) -> list[str]:
-    """The writer the block writer replaced: a sort of (D, sign, values) tuples."""
-    rows = []
-    for sign, rep in reports:
-        cols = (rep.weight, rep.logN_term, rep.U1_raw, rep.U2_raw, rep.bound)
-        rows.extend((D, sign, *vals) for D, *vals in zip(rep.D.tolist(), *(c.tolist() for c in cols)))
-    rows.sort()
-    return [f"{D},{sign}," + ",".join(repr(float(v)) for v in vals) for D, sign, *vals in rows]
-
-
-def test_twists_rows_ordered_by_D_then_sign(tmp_path, monkeypatch):
-    rng = random.Random(12)
-    # calls run weight by weight, sign +1 before -1; D is unsorted within a
-    # report, and 5 and -3 occur with both signs
-    Ds = {(0, 1): [7, 5, 13, 1], (0, -1): [5, 12, 8], (1, 1): [-3, -20, -4], (1, -1): [-7, -3, -15]}
-    fakes = [(sign, _FakeReport(sign, Ds[k, sign], rng)) for k in (0, 1) for sign in (1, -1)]
-    calls = iter(rep for _, rep in fakes)
-    monkeypatch.setattr(twists, "twist_average_experiment", lambda *args: next(calls))
+def test_twists_rows_ordered_by_D_then_sign(tmp_path):
+    # each D has one root number, so the rows ascend strictly in D; at
+    # N = 389 both signs occur in both weight supports
     csv = tmp_path / "t.csv"
-    argv = _argv("twists", tmp_path)
-    argv[argv.index("--out-csv") + 1] = str(csv)
+    argv = [
+        "twists", "--r", "-2", "--s", "3", "--N", "389", "--w", "-1", "--T", "2000", "--X", "100",
+        "--out-csv", str(csv), "--out-json", str(tmp_path / "t.json"),
+    ]
     assert run_cli(argv) == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == cli.TWISTS_HEADER
-    assert lines[1:] == _old_twists_rows(fakes)
-    assert [ln.split(",")[:2] for ln in lines[1:5]] == [["-20", "1"], ["-15", "-1"], ["-7", "-1"], ["-4", "1"]]
-    assert [ln.split(",")[:2] for ln in lines if ln.startswith(("5,", "-3,"))] == [
-        ["-3", "-1"], ["-3", "1"], ["5", "-1"], ["5", "1"],
-    ]
+    rows = [tuple(int(v) for v in ln.split(",")[:2]) for ln in lines[1:]]
+    D = [d for d, _ in rows]
+    assert all(a < b for a, b in zip(D, D[1:]))
+    assert all(sign == twists.root_number(-1, d, 389) for d, sign in rows)
+    assert {(d > 0, sign) for d, sign in rows} == {(False, 1), (False, -1), (True, 1), (True, -1)}
 
 
 def _floats(rng, n) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from avgrank import twists
 from avgrank.arith import (
     _kronecker_any,
     factorize,
@@ -16,11 +17,9 @@ from avgrank.curves import Curve, conductor_surrogate, discriminant, sigma_p, st
 from avgrank.families import U1, U2
 from avgrank.twists import (
     IdentityViolatedError,
-    TwistFamily,
     _kronecker_array,
     _minimal_twists,
     class_decompose,
-    enumerate_T_pm,
     fundamental_discriminants,
     poisson_twist_check,
     root_number,
@@ -31,7 +30,7 @@ from avgrank.twists import (
     twist_curve,
     twisted_pnt_sum,
 )
-from avgrank.weights import SmoothWeight, bump, triangular_weight
+from avgrank.weights import bump, triangular_weight
 
 
 def test_twist_curve_delta_scaling():
@@ -93,29 +92,26 @@ def test_sieve_indicator_matches_direct():
         sieve_indicator_X(12, T, N)  # even n rejected
 
 
-def test_enumerate_T_pm_sign_filter():
-    base = Curve(1, 1)
-    N, w = 49, 1
+def test_twist_rows_sign_filter():
+    base, N, w, T = Curve(1, 1), 49, 1, 200.0
+    supports = (bump(0.2, 1.0), bump(-1.0, -0.2))
+    rep = twist_average_experiment(base, N, w, supports, T, 30.0)
+    D, sign = rep.D.tolist(), rep.sign.tolist()
     # N = 49 is an odd square, so chi_D(N) = 1 whenever gcd(D, N) = 1 and
     # the root-number class is decided by sign(D) alone
-    fam_plus = TwistFamily(base=base, N=N, w=w, sign=1, weight=bump(0.2, 1.0))
-    fam_minus = TwistFamily(base=base, N=N, w=w, sign=-1, weight=bump(-1.0, -0.2))
-    plus = list(enumerate_T_pm(fam_plus, 200.0))
-    minus = list(enumerate_T_pm(fam_minus, 200.0))
-    assert plus and minus
-    for D, wv in plus:
-        assert root_number(w, D, N) == 1 and wv > 0 and D > 0
-    for D, wv in minus:
-        assert root_number(w, D, N) == -1 and wv > 0 and D < 0
-    # each class exhausts the admissible discriminants in its own support
-    for fam, rows in ((fam_plus, plus), (fam_minus, minus)):
-        lo, hi = fam.weight.support
+    assert 1 in sign and -1 in sign
+    for Di, si, wi in zip(D, sign, rep.weight.tolist()):
+        assert si == root_number(w, Di, N) == (1 if Di > 0 else -1) and wi > 0
+    # each support's rows exhaust its admissible discriminants of nonzero weight
+    for weight in supports:
+        lo, hi = weight.support
         want = [
-            D
-            for D in fundamental_discriminants(lo * 200, hi * 200)
-            if math.gcd(D, N) == 1 and float(fam.weight(D / 200.0)) > 0
+            Di
+            for Di in fundamental_discriminants(lo * T, hi * T)
+            if math.gcd(Di, N) == 1 and float(weight(Di / T)) > 0
         ]
-        assert [D for D, _ in rows] == want
+        rows = [(Di, wi) for Di, wi in zip(D, rep.weight.tolist()) if lo * T <= Di <= hi * T]
+        assert rows == [(Di, float(weight(Di / T))) for Di in want]
 
 
 def test_kronecker_array_matches_scalar_on_every_pair():
@@ -187,26 +183,6 @@ def test_twist_batch_beyond_int64_is_rejected_before_sieving():
             twist_batch(49, bump(*support), T)
 
 
-def test_twist_batch_must_match_the_family():
-    base = Curve(1, 1)
-    fam = TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.2, 1.0))
-    for batch in (
-        twist_batch(37, fam.weight, 150.0),
-        twist_batch(49, bump(0.2, 1.0), 150.0),
-        twist_batch(49, fam.weight, 151.0),
-    ):
-        with pytest.raises(ValueError, match="twist batch"):
-            twist_average_experiment(fam, 150.0, 50.0, batch=batch)
-    rep = twist_average_experiment(fam, 150.0, 50.0, batch=twist_batch(49, fam.weight, 150.0))
-    assert rep.D.tolist() == twist_average_experiment(fam, 150.0, 50.0).D.tolist()
-    # weights match by value: a copy with the same fields serves the family
-    w = fam.weight
-    copy = SmoothWeight(w.support, w.evaluator)
-    assert copy == w and hash(copy) == hash(w)
-    rep = twist_average_experiment(fam, 150.0, 50.0, batch=twist_batch(49, copy, 150.0))
-    assert rep.D.tolist() == twist_average_experiment(fam, 150.0, 50.0).D.tolist()
-
-
 @pytest.mark.parametrize("T", [4000.0, 2e4])
 def test_cli_unsigned_weight_equals_scalar_loop(tmp_path, T):
     # W_unsigned from the batch weights equals the left-to-right scalar sum
@@ -230,87 +206,108 @@ def test_cli_unsigned_weight_equals_scalar_loop(tmp_path, T):
     assert json.loads(out.read_text())["W_unsigned"] == total
 
 
-def test_twist_family_validation():
-    base = Curve(1, 1)
-    with pytest.raises(ValueError):
-        TwistFamily(base=base, N=49, w=2, sign=1, weight=bump(0.2, 1.0))
-    with pytest.raises(ValueError):
-        TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(-0.5, 0.5))
-    with pytest.raises(ValueError, match="sign"):
-        TwistFamily(base=base, N=49, w=1, sign=0, weight=bump(0.2, 1.0))
+def test_twist_family_validation(tmp_path, capsys):
+    base, wt = Curve(1, 1), (bump(0.2, 1.0),)
+    with pytest.raises(ValueError, match="w and sign must be"):
+        twist_average_experiment(base, 49, 2, wt, 150.0, 50.0)
+    with pytest.raises(ValueError, match="support must avoid 0"):
+        twist_average_experiment(base, 49, 1, (bump(0.2, 1.0), bump(-0.5, 0.5)), 150.0, 50.0)
     with pytest.raises(ValueError, match="N must be positive"):
-        TwistFamily(base=base, N=0, w=1, sign=1, weight=bump(0.2, 1.0))
+        twist_average_experiment(base, 0, 1, wt, 150.0, 50.0)
+    # the engine's message reaches the command line as one line and exit 2
+    argv = ["twists", "--r", "1", "--s", "1", "--N", "0", "--w", "1", "--T", "150", "--X", "50",
+            "--out-csv", str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: N must be positive\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_twist_average_experiment_smoke():
-    base = Curve(1, 1)
-    fam = TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.2, 1.0))
-    rep = twist_average_experiment(fam, 150.0, 50.0)
-    assert not rep.empty
-    assert (rep.weight > 0).all()
-    assert len(rep.D) == len(rep.bound)
+    rep = twist_average_experiment(Curve(1, 1), 49, 1, (bump(0.2, 1.0),), 150.0, 50.0)
+    assert len(rep.D) and (rep.weight > 0).all()
+    assert len(rep.D) == len(rep.sign) == len(rep.bound)
     # every discriminant respects the sign filter
-    for D in rep.D:
-        assert root_number(1, int(D), 49) == 1
-    # the crude N D^2 bound dominates log-wise checks are reported
-    assert rep.logND2_term.shape == rep.logN_term.shape
-    assert math.isfinite(rep.avg_bound)
-    assert rep.u2_deviation >= 0
-    # class -> sign map only contains the requested sign
+    for D, sign in zip(rep.D.tolist(), rep.sign.tolist()):
+        assert sign == root_number(1, D, 49) == 1
+    assert rep.W[1] > 0 and math.isfinite(rep.avg_bound[1])
+    # class -> sign map only contains the sign of the rows
     for signs in rep.class_sign_map.values():
         assert signs == [1]
 
 
 def test_twist_average_experiment_empty():
-    # an empty batch, and a non-empty batch whose selection is empty: at
+    # an empty batch, and a non-empty batch whose minus class is empty: at
     # N = 49 every D of the positive support has sign +1
-    for sign, weight, T, X in ((1, bump(0.97, 0.99), 20.0, 10.0), (-1, bump(0.5, 1.0), 4000.0, 200.0)):
-        fam = TwistFamily(base=Curve(1, 1), N=49, w=1, sign=sign, weight=weight)
-        rep = twist_average_experiment(fam, T, X)
-        assert rep.empty
-        assert rep.D.dtype == np.int64 and rep.D.shape == (0,)
-        for a in (rep.weight, rep.logN_term, rep.U1_raw, rep.U2_raw, rep.bound, rep.logND2_term):
-            assert a.dtype == np.float64 and a.shape == (0,)
-        assert rep.W_total == 0.0
-        for v in (
-            rep.avg_logN_term, rep.avg_U1_term, rep.avg_U2_term, rep.avg_bound,
-            rep.u1_over_logX, rep.u2_over_logX, rep.u2_deviation,
-        ):
-            assert math.isnan(v)
-        assert rep.class_sign_map == {}
+    for weight, T, X in ((bump(0.97, 0.99), 20.0, 10.0), (bump(0.5, 1.0), 4000.0, 200.0)):
+        rep = twist_average_experiment(Curve(1, 1), 49, 1, (weight,), T, X)
+        assert rep.W[-1] == 0.0 and math.isnan(rep.avg_bound[-1])
+        assert all(signs == [1] for signs in rep.class_sign_map.values())
+    assert len(rep.D) > 0 and rep.W[1] > 0 and math.isfinite(rep.avg_bound[1])
+    rep = twist_average_experiment(Curve(1, 1), 49, 1, (bump(0.97, 0.99),), 20.0, 10.0)
+    for a in (rep.D, rep.sign):
+        assert a.dtype == np.int64 and a.shape == (0,)
+    for a in (rep.weight, rep.logN_term, rep.U1_raw, rep.U2_raw, rep.bound):
+        assert a.dtype == np.float64 and a.shape == (0,)
+    assert rep.W == {1: 0.0, -1: 0.0} and rep.W_unsigned == 0.0
+    assert all(math.isnan(v) for v in rep.avg_bound.values())
+    assert rep.class_sign_map == {}
 
 
 @pytest.mark.parametrize(
     "r, s, N", [(25, 125, 1), (1, 1, 49), (-2, 3, 389), (0, 1, 36), (-1, 0, 32)]
 )
 def test_twist_average_matches_scalar_oracles(r, s, N):
-    # the batch route over minimal twists against the scalar U1 / U2 and
-    # conductor surrogate; (25, 125) has star_map d = 5 whenever 5 | D, and
-    # |Delta| of most twists at T = 2000 exceeds 2^63
+    # the batch route over minimal twists against the root number, the
+    # scalar U1 / U2 and the conductor surrogate; (25, 125) has star_map
+    # d = 5 whenever 5 | D, and |Delta| of most twists at T = 2000 exceeds 2^63
     base, T, X = Curve(r, s), 2000.0, 200.0
     primes = sieve_primes(int(X))
     logX = math.log(X)
-    seen_d, seen_big, rows = set(), False, {1: 0, -1: 0}
-    for sign in (1, -1):
-        for weight in (bump(0.5, 1.0), bump(-1.0, -0.5)):
-            fam = TwistFamily(base=base, N=N, w=1, sign=sign, weight=weight)
-            rep = twist_average_experiment(fam, T, X, primes=primes)
-            rows[sign] += len(rep.D)
-            for i, D in enumerate(rep.D.tolist()):
-                tw = twist_curve(base, D)
-                minimal, d = star_map(tw.r, tw.s)
-                seen_d.add(d)
-                seen_big |= abs(minimal.delta) > 2**63
-                assert rep.U1_raw[i] == U1(minimal, X, primes)
-                assert rep.U2_raw[i] == U2(minimal, X, primes)
-                hints = tuple(factorize(abs(base.delta))) + tuple(factorize(abs(D)))
-                n = conductor_surrogate(minimal, prime_hints=hints)
-                assert rep.logN_term[i] == math.log(n) / logX
+    rep = twist_average_experiment(base, N, 1, (bump(0.5, 1.0), bump(-1.0, -0.5)), T, X)
+    seen_d, seen_big = set(), False
+    for i, D in enumerate(rep.D.tolist()):
+        assert rep.sign[i] == root_number(1, D, N), D
+        tw = twist_curve(base, D)
+        minimal, d = star_map(tw.r, tw.s)
+        seen_d.add(d)
+        seen_big |= abs(minimal.delta) > 2**63
+        assert rep.U1_raw[i] == U1(minimal, X, primes)
+        assert rep.U2_raw[i] == U2(minimal, X, primes)
+        hints = tuple(factorize(abs(base.delta))) + tuple(factorize(abs(D)))
+        n = conductor_surrogate(minimal, prime_hints=hints)
+        assert rep.logN_term[i] == math.log(n) / logX
     # an odd-square or unit N leaves one sign class per weight, and it can be empty
-    assert rows[1] > 0 and rows[-1] > 0
+    assert set(rep.sign.tolist()) == {1, -1}
     assert seen_big
     if (r, s) == (25, 125):
         assert 5 in seen_d
+
+
+def test_cli_twists_factorises_the_base_once(tmp_path, monkeypatch):
+    # every twist of both supports and both signs is reduced in one
+    # _minimal_twists call, on one factorisation of |Delta_E|; at N = 389
+    # all four (support, sign) classes are nonempty
+    factorized, minimal = [], []
+
+    def count_factorize(n):
+        factorized.append(n)
+        return factorize(n)
+
+    def count_minimal(base, D):
+        minimal.append(len(D))
+        return _minimal_twists(base, D)
+
+    monkeypatch.setattr(twists, "factorize", count_factorize)
+    monkeypatch.setattr(twists, "_minimal_twists", count_minimal)
+    rc = main(
+        [
+            "twists", "--r", "-2", "--s", "3", "--N", "389", "--w", "-1", "--T", "4000", "--X", "200",
+            "--out-csv", str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json"),
+        ]
+    )
+    assert rc == 0
+    assert factorized == [abs(Curve(-2, 3).delta)]
+    assert minimal == [len((tmp_path / "t.csv").read_text().splitlines()) - 1]
 
 
 def test_twist_minimal_trace_is_not_the_character_shortcut():
@@ -323,10 +320,8 @@ def test_twist_minimal_trace_is_not_the_character_shortcut():
 
 
 def test_twist_average_rejects_large_X():
-    base = Curve(1, 1)
-    fam = TwistFamily(base=base, N=49, w=1, sign=1, weight=bump(0.2, 1.0))
-    with pytest.raises(ValueError):
-        twist_average_experiment(fam, 10.0, 1000.0)
+    with pytest.raises(ValueError, match=r"1 < X <= T\^2"):
+        twist_average_experiment(Curve(1, 1), 49, 1, (bump(0.2, 1.0),), 10.0, 1000.0)
 
 
 def test_twisted_pnt_sum():
