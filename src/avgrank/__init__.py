@@ -47,7 +47,6 @@ _EXPORTS = {
         "U1",
         "U2",
         "average_rank_experiment",
-        "box_grid",
         "enumerate_C",
         "enumerate_D",
         "prime_terms",

@@ -203,7 +203,7 @@ def cache_load(path: str | Path) -> ApCache:
 def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     """U1 for every curve of C(T), optionally served from a cache.
 
-    The terms come from families.prime_terms over box_grid(T), one fsum per
+    The terms come from families.prime_terms over C(T), one fsum per
     curve, so each value equals the scalar U1 exactly.  The cache's records
     are joined to the (curve, prime) keys by one searchsorted per prime: a
     hit replaces the engine's trace, a miss (or no cache) keeps the engine's.
@@ -211,12 +211,11 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     import numpy as np
 
     from .arith import sieve_primes
-    from .families import box_grid, fsum_rows, int_root, prime_terms
+    from .families import _box, fsum_rows, int_root, prime_terms
     from .weights import h_X
 
-    primes = sieve_primes(int(X))
-    R, S = box_grid(T)
-    ps = np.asarray(primes.in_range(5, X), dtype=np.int64)
+    R, S = _box(T).cells()
+    ps = np.asarray(sieve_primes(int(X)).in_range(5, X), dtype=np.int64)
     rmax, smax, P = int_root(T, 3), int_root(T, 2), len(ps)
     width = 2 * smax + 1
     # key = cell * P + prime index with cell = (r + rmax) * width + s + smax: strictly increasing, as
@@ -229,7 +228,7 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     keys = np.append(((r[m] + rmax) * width + s[m] + smax) * P + idx[m], (2 * rmax + 1) * width * P)
     a, cells = np.append(a[m], 0), ((R + rmax) * width + S + smax) * P
     cols = []
-    for j, (p, t1, _) in enumerate(prime_terms(R, S, X, primes)):
+    for j, (p, t1, _) in enumerate(prime_terms(R, S, X)):
         pos = keys.searchsorted(cells + j)
         coef = -(math.log(p) / p) * h_X(math.log(p), X)
         cols.append(np.where(keys[pos] == cells + j, coef * a[pos], t1))

@@ -12,17 +12,18 @@ report carries a caveat line saying so.
 
 Box families are held as product grids (BoxGrid): row values rv, column
 values sv and a boolean keep mask over rv x sv for the singularity,
-minimality and weight-support filters; box_grid gives the same family
-as flat row-major arrays.  prime_terms, the one per-prime term route of
-U1, U2 and the moments' V, needs only the coefficients and reads p | Delta
-off their residues.  They broadcast like those of curves.sigma_p_batch,
-the one trace gather: flat pairs for the twists and the cache sweep, and
-rv[:, None], sv for a grid, where rank_bound_terms takes each U1 / U2
-term on the whole rectangle and cuts to the kept cells once at the end.
-The gather folds the row sign into its table (chi(k) = chi(r) for
-k = r^3 s^-2), so a grid cell costs one gather and one multiply.  All
-aggregation uses math.fsum in a fixed order so repeated runs are
-bit-identical; the scalar U1, U2 and rank_bound remain as oracles.
+minimality and weight-support filters; cells() gives the same family as
+flat row-major arrays.  prime_terms, the one per-prime term route of U1,
+U2 and the moments' V, sieves its own primes up to X, needs only the
+coefficients and reads p | Delta off their residues.  They broadcast
+like those of curves.sigma_p_batch, the one trace gather: flat pairs for
+the twists and the cache sweep, and rv[:, None], sv for a grid, where
+rank_bound_terms takes each U1 / U2 term on the whole rectangle, cuts to
+the kept cells once at the end and forms the rank bound.  The gather
+folds the row sign into its table (chi(k) = chi(r) for k = r^3 s^-2), so
+a grid cell costs one gather and one multiply.  All aggregation uses
+math.fsum in a fixed order so repeated runs are bit-identical; the
+scalar U1, U2 and rank_bound remain as oracles.
 
 The conductor surrogate of a grid comes from a root sieve (the line
 sieve of C. Pomerance, "The quadratic sieve factoring algorithm",
@@ -60,7 +61,6 @@ __all__ = [
     "int_root",
     "enumerate_D",
     "enumerate_C",
-    "box_grid",
     "weight_wT",
     "S_T",
     "U1",
@@ -195,18 +195,11 @@ def _box_axes(T: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _box(T: float, minimal_only: bool = True) -> BoxGrid:
-    """The unweighted nonsingular box family as a grid; the default gives C(T)."""
+    """The unweighted nonsingular box family as a grid; the default gives
+    C(T), minimal_only=False gives D(T)."""
     if T < 1:
-        raise ValueError("box_grid requires T >= 1")
+        raise ValueError("the box family requires T >= 1")
     return _product_grid(*_box_axes(T), minimal_only)
-
-
-def box_grid(T: float, minimal_only: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(R, S) arrays of the unweighted box family, row-major in (r, s).
-
-    The default gives C(T); minimal_only=False gives D(T).
-    """
-    return _box(T, minimal_only).cells()
 
 
 def _weighted_axes(params: FamilyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -275,13 +268,13 @@ def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: PrimeTable | Non
 
 
 def prime_terms(
-    R: np.ndarray, S: np.ndarray, X: float, primes: PrimeTable, lo: int = 5
+    R: np.ndarray, S: np.ndarray, X: float, lo: int = 5
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
     """Per-prime explicit-formula terms of a family, in increasing p.
 
-    Yields (p, t1, t2) for each prime lo <= p <= X (lo >= 5): t1 = -(log p
-    / p) h_X(log p) a_p is the U1 term and t2 = c_{p^2} (2 log p)
-    h_X(2 log p) the U2 term, None once p^2 > X.  R and S are the
+    Yields (p, t1, t2) for each prime lo <= p <= X (lo >= 5), from one
+    sieve to X: t1 = -(log p / p) h_X(log p) a_p is the U1 term and
+    t2 = c_{p^2} (2 log p) h_X(2 log p) the U2 term, None once p^2 > X.  R and S are the
     coefficients of the (minimal) models and broadcast like the arguments
     of sigma_p_batch: flat arrays, or rv[:, None], sv for a grid.  They
     may be int64 or Python-int (dtype=object) arrays; each prime reduces
@@ -289,7 +282,7 @@ def prime_terms(
     the residues, since p | Delta depends only on r and s mod p.  Each
     element equals the term that U1 / U2 sum for that curve, bit for bit.
     """
-    for p in primes.in_range(lo, X):
+    for p in sieve_primes(int(X)).in_range(lo, X):
         rm = np.asarray(R % p, dtype=np.int64)
         sm = np.asarray(S % p, dtype=np.int64)
         sig = sigma_p_batch(rm, sm, p)
@@ -305,9 +298,11 @@ def prime_terms(
 
 
 def rank_bound_terms(
-    grid: BoxGrid, X: float, primes: PrimeTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log N_surrogate, U1, U2) arrays over grid.cells(), batched per prime.
+    grid: BoxGrid, X: float, C0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(log N_surrogate / log X, U1, U2, bound) arrays over grid.cells(),
+    batched per prime, with bound = log N / log X + (2 / log X) U1 +
+    (2 / log X) U2 + C0 / log X.
 
     The prime sums accumulate in increasing p, one rectangle update per
     prime, and are cut to the kept cells once at the end.
@@ -315,11 +310,14 @@ def rank_bound_terms(
     rv, sv = grid.rv[:, None], grid.sv
     u1 = np.zeros(grid.keep.shape)
     u2 = np.zeros(grid.keep.shape)
-    for _, t1, t2 in prime_terms(rv, sv, X, primes):
+    for _, t1, t2 in prime_terms(rv, sv, X):
         u1 += t1
         if t2 is not None:
             u2 += t2
-    return _conductor_grid(grid), u1[grid.keep], u2[grid.keep]
+    u1, u2 = u1[grid.keep], u2[grid.keep]
+    logX = math.log(X)
+    logn_term = _conductor_grid(grid) / logX
+    return logn_term, u1, u2, logn_term + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
 
 
 def fsum_rows(cols: list[np.ndarray], n: int) -> list[float]:
@@ -455,17 +453,14 @@ def average_rank_experiment(params: FamilyParams, X: float, C0: float = 0.0) -> 
     """Weighted averages of every rank-bound term over the minimal family."""
     if not 1 < X <= params.T ** (5 / 6):
         raise ValueError("average_rank_experiment requires 1 < X <= T^(5/6)")
-    primes = sieve_primes(int(X))
     grid, W = _weighted_grid(params)
     if len(W) == 0:
         raise ValueError("empty family: weight support contains no lattice points")
     R, S = grid.cells()
     logX = math.log(X)
-    logn, u1, u2 = rank_bound_terms(grid, X, primes)
-    logn_term = logn / logX
+    logn_term, u1, u2, bound = rank_bound_terms(grid, X, C0)
     u1_term = (2.0 / logX) * u1
     u2_term = (2.0 / logX) * u2
-    bound = logn_term + u1_term + u2_term + C0 / logX
     wsum = math.fsum(W.tolist())
     return RankBoundReport(
         T=params.T,
@@ -488,7 +483,7 @@ def average_rank_experiment(params: FamilyParams, X: float, C0: float = 0.0) -> 
     )
 
 
-def lemma2_lhs(params: FamilyParams, P: float, primes: PrimeTable) -> float:
+def lemma2_lhs(params: FamilyParams, P: float) -> float:
     """sum_{P < p <= 2P} | sum_{E in D} w_T(E) sigma_p(E) |.
 
     The inner sum runs over every cell of the weighted box, singular and
@@ -499,7 +494,7 @@ def lemma2_lhs(params: FamilyParams, P: float, primes: PrimeTable) -> float:
     rv, sv, wr, ws = _weighted_axes(params)
     W = np.multiply.outer(wr, ws)
     total = []
-    for p in primes.in_range(P + 1, 2 * P):
+    for p in sieve_primes(int(2 * P)).in_range(P + 1, 2 * P):
         sig = sigma_p_batch(rv[:, None], sv, p)
         total.append(abs(math.fsum((W * sig).ravel().tolist())))
     return math.fsum(total)

@@ -54,17 +54,17 @@ def V(curve: Curve, X: float, primes: PrimeTable) -> float:
     return math.fsum(terms)
 
 
-def V_family(T: float, X: float, primes: PrimeTable) -> np.ndarray:
+def V_family(T: float, X: float) -> np.ndarray:
     """V(E, X) for every curve of D(T), in row-major (r, s) order: minus the
     U1 terms of prime_terms over 100 < p <= X (negation is exact)."""
     grid = _box(T, minimal_only=False)
     out = np.zeros(grid.keep.shape)
-    for _, t1, _ in prime_terms(grid.rv[:, None], grid.sv, X, primes, lo=101):
+    for _, t1, _ in prime_terms(grid.rv[:, None], grid.sv, X, lo=101):
         out -= t1
     return out[grid.keep]
 
 
-def moment_2k(T: float, X: float, k: int, primes: PrimeTable | None = None) -> float:
+def moment_2k(T: float, X: float, k: int) -> float:
     """sum_{E in D(T)} V(E, X)^(2k), summed in a fixed order.
 
     math.fsum gives correctly rounded accumulation, which covers the
@@ -72,27 +72,30 @@ def moment_2k(T: float, X: float, k: int, primes: PrimeTable | None = None) -> f
     """
     if k < 1:
         raise ValueError("moment_2k requires k >= 1")
+    if T < 1:
+        raise ValueError("moment_2k requires T >= 1")
     if X < 101:  # (100, X] holds no prime, so every V is 0
         return 0.0
-    if primes is None:
-        primes = sieve_primes(int(X))
-    vals = V_family(T, X, primes)
+    vals = V_family(T, X)
     return math.fsum((vals ** (2 * k)).tolist())
-
-
-def count_C(T: float) -> int:
-    return len(_box(T))
 
 
 def density_bound(T: float, X: float, k: int, R: float) -> float:
     """Markov bound moment_2k / ((log T / 2)^(2k) * #C(T)) for rank >= R.
 
     Only meaningful when R >= 3 + 2 log T / log X, the regime where the
-    explicit formula forces |V| >= (log T) / 2.
+    explicit formula forces |V| >= (log T) / 2.  That is tested as
+    X >= T^(2 / (R - 3)), without the float quotient, which overshoots
+    3 + 12k at X = T^(1 / (6k)); so a row is admitted exactly when
+    high_rank_census admits it.
     """
-    if R < 3 + 2 * math.log(T) / math.log(X):
-        raise ValueError("density_bound requires R >= 3 + 2 log T / log X")
-    return _markov(moment_2k(T, X, k), T, k, count_C(T))
+    try:
+        admissible = T > 1 and R > 3 and X >= T ** (2 / (R - 3))
+    except OverflowError:  # T^(2 / (R - 3)) is beyond every float X
+        admissible = False
+    if not admissible:
+        raise ValueError("density_bound requires T > 1 and R >= 3 + 2 log T / log X")
+    return _markov(moment_2k(T, X, k), T, k, len(_box(T)))
 
 
 def _markov(m: float, T: float, k: int, n_C: int) -> float:
@@ -176,9 +179,7 @@ def high_rank_census(T: float, X: float, C0: float = 0.0, R_max: int = 8) -> Mom
     if X <= 1 or T <= math.e:
         raise ValueError("high_rank_census requires X > 1 and T > e")
     grid = _box(T)
-    logn, u1, u2 = rank_bound_terms(grid, X, sieve_primes(int(X)))
-    logX = math.log(X)
-    bounds = logn / logX + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
+    bounds = rank_bound_terms(grid, X, C0)[3]
     n_C = len(grid)
     rmax, smax = int_root(T, 3), int_root(T, 2)
     t = min(math.isqrt(rmax // 3), int_root(smax // 2, 3))

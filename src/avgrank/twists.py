@@ -31,7 +31,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .arith import (
-    PrimeTable,
     factorize,
     gcd,
     is_fundamental_discriminant,
@@ -345,7 +344,7 @@ def twist_average_experiment(
     sign = w * rows.twist_sign[keep]
     # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
     R, S, _, cond = _minimal_twists(base, D)
-    terms = list(prime_terms(R, S, X, sieve_primes(int(X)))) if len(D) else []
+    terms = list(prime_terms(R, S, X)) if len(D) else []
     u1a = np.asarray(fsum_rows([t1 for _, t1, _ in terms], len(D)))
     u2a = np.asarray(fsum_rows([t2 for _, _, t2 in terms if t2 is not None], len(D)))
     logX = math.log(X)
@@ -371,18 +370,16 @@ def twist_average_experiment(
     )
 
 
-def twisted_pnt_sum(base: Curve, D: int, x: float, primes: PrimeTable) -> float:
+def twisted_pnt_sum(base: Curve, D: int, x: float) -> float:
     """sum_{5 <= p <= x} (a_p(E) / p) chi_D(p) log p.
 
     Primes 2 and 3 are excluded throughout, matching the p >= 5 convention
     of every other prime sum here.
     """
-    if x < 5:
-        return 0.0
     if D != 1 and not is_fundamental_discriminant(D):
         raise ValueError("D must be 1 or a fundamental discriminant")
     terms = []
-    for p in primes.in_range(5, x):
+    for p in sieve_primes(int(x)).in_range(5, x):
         chi = kronecker(D, p) if D != 1 else 1
         if chi == 0:
             continue

@@ -47,11 +47,7 @@ _MAX_SPLITS = 4096  # bisections before fourier_numeric gives up
 
 
 class SmoothWeight(NamedTuple):
-    """Nonnegative weight, exactly zero outside its (closed) support.
-
-    Weights compare and hash by value: TwistBatch.select matches its
-    (N, weight, T) by ==.
-    """
+    """Nonnegative weight, exactly zero outside its (closed) support."""
 
     support: tuple[float, float]
     evaluator: Callable[[np.ndarray], np.ndarray]

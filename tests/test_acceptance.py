@@ -289,11 +289,10 @@ def test_criterion_14_root_number_class_constancy():
 
 def test_criterion_15_markov_consistency():
     T, X = 1000.0, 300.0
-    primes = a.sieve_primes(300)
-    vals = V_family(T, X, primes)
+    vals = V_family(T, X)
     bad = 0
     for k in (1, 2):
-        m = moment_2k(T, X, k, primes)
+        m = moment_2k(T, X, k)
         for lam in (0.25, 0.5, 1.0, 2.0, 4.0):
             count = int((np.abs(vals) >= lam).sum())
             if count > m / lam ** (2 * k):

@@ -20,7 +20,6 @@ from avgrank.families import (
     _strip_2_3,
     _weighted_grid,
     average_rank_experiment,
-    box_grid,
     enumerate_C,
     enumerate_D,
     int_root,
@@ -90,13 +89,13 @@ def test_weight_wT_and_S_T():
 def test_box_grid_matches_enumeration(T):
     # T = 2e4 reaches r = +-16 and s = +-64, +-128, where p = 2 decides minimality
     for minimal, enum in ((True, enumerate_C), (False, enumerate_D)):
-        R, S = box_grid(T, minimal_only=minimal)
+        R, S = _box(T, minimal).cells()
         assert list(zip(R.tolist(), S.tolist())) == [(c.r, c.s) for c in enum(T)]
 
 
 def test_box_grid_requires_T_at_least_1():
     with pytest.raises(ValueError, match="T >= 1"):
-        box_grid(0.5)
+        _box(0.5)
     with pytest.raises(ValueError, match="T >= 1"):
         FamilyParams(T=0.5)
 
@@ -107,7 +106,7 @@ def test_box_beyond_int64_is_rejected_before_allocating():
     # fails here without allocating anything
     for T in (1e40, 1e60):
         with pytest.raises(ValueError, match="discriminants exceed int64"):
-            box_grid(T)
+            _box(T)
         with pytest.raises(ValueError, match="discriminants exceed int64"):
             average_rank_experiment(FamilyParams(T=T), 10.0)
 
@@ -116,7 +115,7 @@ def test_box_beyond_physical_memory_is_rejected_before_allocating(monkeypatch):
     # 32 MiB against 2001 x 63245 cells of 8 bytes each
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**13}.__getitem__)
     with pytest.raises(ValueError) as exc:
-        box_grid(1e9)
+        _box(1e9)
     assert str(exc.value) == (
         "T = 1e+09 is too large: the box needs 0.943 GiB, more than the 0.0312 GiB of physical memory"
     )
@@ -152,21 +151,21 @@ def test_family_grid_respects_filters():
 
 
 def test_prime_terms_int64_and_object_arrays_agree():
-    R, S = box_grid(2.0e4)
+    grid = _box(2.0e4)
+    R, S = grid.cells()
     X = 200.0
     primes = sieve_primes(200)
-    fast = list(prime_terms(R, S, X, primes))
+    fast = list(prime_terms(R, S, X))
     # shifting by the primorial keeps every residue mod p <= X, so the bad
     # primes read off the residues too, and takes the coefficients far
     # beyond int64
     M = math.prod(primes.in_range(2, X))
     Ro, So = R.astype(object) + M, S.astype(object) - M
-    slow = list(prime_terms(Ro, So, X, primes))
+    slow = list(prime_terms(Ro, So, X))
     assert [p for p, _, _ in fast] == primes.in_range(5, X)
     assert [p for p, _, _ in slow] == primes.in_range(5, X)
     # the grid form: rv[:, None], sv, cut by keep
-    grid = _box(2.0e4)
-    rect = list(prime_terms(grid.rv[:, None], grid.sv, X, primes))
+    rect = list(prime_terms(grid.rv[:, None], grid.sv, X))
     assert [p for p, _, _ in rect] == primes.in_range(5, X)
     for (_, a1, a2), (_, b1, b2), (_, c1, c2) in zip(fast, slow, rect):
         assert np.array_equal(a1, b1)
@@ -298,10 +297,9 @@ def test_lemma2_lhs_small():
     # the inner sum runs over every (r, s) of the box.  The second weights
     # reach the singular (-3, +-2) and the non-minimal (0, 0), which the
     # even_bump support |x| >= 1/2 leaves out at T = 500
-    primes = sieve_primes(30)
     full = bump(-1.0, 1.0)
     for params in (FamilyParams(T=500.0), FamilyParams(T=500.0, weight_r=full, weight_s=full)):
-        val = lemma2_lhs(params, 10.0, primes)
+        val = lemma2_lhs(params, 10.0)
         assert val > 0
         rmax, smax = int_root(params.T, 3), int_root(params.T, 2)
         box = [Curve(r, s) for r in range(-rmax, rmax + 1) for s in range(-smax, smax + 1)]

@@ -13,7 +13,6 @@ from avgrank.moments import (
     _markov,
     V_family,
     classify_type,
-    count_C,
     density_bound,
     high_rank_census,
     moment_2k,
@@ -57,7 +56,7 @@ def test_V_equals_minus_U1_tail():
 def test_V_family_matches_scalar():
     T, X = 200.0, 300.0
     primes = sieve_primes(300)
-    vals = V_family(T, X, primes)
+    vals = V_family(T, X)
     curves = list(enumerate_D(T))
     assert len(vals) == len(curves)
     for i in range(0, len(curves), 37):
@@ -73,16 +72,15 @@ def test_V_family_equals_the_direct_rectangle_sum():
     want = np.zeros(grid.keep.shape)
     for p in primes.in_range(101, X):
         want += (math.log(p) / p) * h_X(math.log(p), X) * sigma_p_batch(grid.rv[:, None], grid.sv, p)
-    got = V_family(T, X, primes)
+    got = V_family(T, X)
     assert np.array_equal(got.view(np.int64), want[grid.keep].view(np.int64))
 
 
 def test_moment_2k_and_markov():
     T, X = 1000.0, 300.0
-    primes = sieve_primes(300)
-    vals = V_family(T, X, primes)
+    vals = V_family(T, X)
     for k in (1, 2):
-        m = moment_2k(T, X, k, primes)
+        m = moment_2k(T, X, k)
         assert abs(m - math.fsum((vals ** (2 * k)).tolist())) < 1e-9
         for lam in (0.5, 1.0, 2.0):
             count = int((np.abs(vals) >= lam).sum())
@@ -94,6 +92,28 @@ def test_density_bound_precondition():
         density_bound(1000.0, 300.0, 1, R=2.0)
     val = density_bound(1000.0, 300.0, 1, R=6.0)
     assert val >= 0
+
+
+@pytest.mark.parametrize("T, k", [(1e4, 1), (5e4, 1), (5e4, 2), (7e5, 3)])
+def test_density_bound_admits_the_census_boundary_row(T, k):
+    # at X = T^(1/(6k)) the float quotient 2 log T / log X overshot 12k, so
+    # the row R = 3 + 12k that the census admits was refused
+    R = 3 + 12 * k
+    row = high_rank_census(T, 10.0, R_max=R).rows[R]
+    assert row.markov_bound is not None
+    assert density_bound(T, T ** (1 / (6 * k)), k, R) == row.markov_bound
+
+
+@pytest.mark.parametrize("T, X, R", [(1e4, 1.0, 15), (1e4, 0.5, 15), (1.0, 1.0, 15), (1e4, 300.0, 3 + 1e-9)])
+def test_density_bound_rejects_degenerate_T_X_and_R(T, X, R):
+    with pytest.raises(ValueError, match="density_bound requires"):
+        density_bound(T, X, 1, R)
+
+
+def test_moment_2k_checks_T_before_the_empty_range():
+    # (100, 50] holds no prime, yet T = 0.5 has no box
+    with pytest.raises(ValueError, match="T >= 1"):
+        moment_2k(0.5, 50.0, 1)
 
 
 def test_type1_S():
@@ -140,7 +160,7 @@ def test_reference_decay_and_optimal_k():
 
 def test_high_rank_census():
     rep = high_rank_census(200.0, 60.0, R_max=6)
-    assert rep.n_C == count_C(200.0) == sum(1 for _ in enumerate_C(200.0))
+    assert rep.n_C == len(_box(200.0)) == sum(1 for _ in enumerate_C(200.0))
     assert rep.n_D == sum(1 for _ in enumerate_D(200.0))
     censuses = [row.census for row in rep.rows]
     assert censuses == sorted(censuses, reverse=True)
@@ -181,13 +201,13 @@ def test_high_rank_census_computes_one_moment_per_k(monkeypatch):
     T, X = 1e4, 100.0
     calls, v_calls = [], []
 
-    def counting(T, X, k, primes=None):
+    def counting(T, X, k):
         calls.append(k)
-        return moment_2k(T, X, k, primes)
+        return moment_2k(T, X, k)
 
-    def counting_V(T, X, primes):
+    def counting_V(T, X):
         v_calls.append(X)
-        return V_family(T, X, primes)
+        return V_family(T, X)
 
     monkeypatch.setattr(moments, "moment_2k", counting)
     monkeypatch.setattr(moments, "V_family", counting_V)

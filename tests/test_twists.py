@@ -331,7 +331,7 @@ def test_twisted_pnt_sum():
     direct = math.fsum(
         sigma_p(1, 1, p) / p * math.log(p) for p in primes.in_range(5, 100)
     )
-    assert abs(twisted_pnt_sum(base, 1, 100.0, primes) - direct) < 1e-12
+    assert abs(twisted_pnt_sum(base, 1, 100.0) - direct) < 1e-12
     # character twist
     D = 5
     direct = math.fsum(
@@ -339,10 +339,16 @@ def test_twisted_pnt_sum():
         for p in primes.in_range(5, 100)
         if kronecker(D, p) != 0
     )
-    assert abs(twisted_pnt_sum(base, D, 100.0, primes) - direct) < 1e-12
-    assert twisted_pnt_sum(base, 5, 3.0, primes) == 0.0
+    assert abs(twisted_pnt_sum(base, D, 100.0) - direct) < 1e-12
+    assert twisted_pnt_sum(base, 5, 3.0) == 0.0
     with pytest.raises(ValueError):
-        twisted_pnt_sum(base, 6, 100.0, primes)  # 6 is not fundamental
+        twisted_pnt_sum(base, 6, 100.0)  # 6 is not fundamental
+
+
+def test_twisted_pnt_sum_checks_D_before_the_empty_range():
+    # no prime 5 <= p <= 3, yet 6 is not a fundamental discriminant
+    with pytest.raises(ValueError, match="fundamental discriminant"):
+        twisted_pnt_sum(Curve(1, 1), 6, 3.0)
 
 
 def test_poisson_twist_check_small():
