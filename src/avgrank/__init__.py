@@ -14,7 +14,6 @@ import sys
 
 _EXPORTS = {
     "arith": (
-        "PrimeTable",
         "gauss_sum",
         "is_fundamental_discriminant",
         "is_prime",

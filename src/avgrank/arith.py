@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "PrimeTable",
     "sieve_primes",
     "is_prime",
     "legendre",
@@ -40,31 +39,6 @@ __all__ = [
 gcd = math.gcd
 
 
-class PrimeTable:
-    """All primes <= limit, in increasing order."""
-
-    __slots__ = ("limit", "primes")
-
-    def __init__(self, limit: int, primes: tuple[int, ...]):
-        self.limit = limit
-        self.primes = primes
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self):
-        return len(self.primes)
-
-    def in_range(self, lo: float, hi: float) -> list[int]:
-        """Primes p with lo <= p <= hi."""
-        if math.floor(hi) > self.limit:
-            raise ValueError(f"prime table limit {self.limit} < requested {hi}")
-        return [p for p in self.primes if lo <= p <= hi]
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.primes, dtype=np.int64)
-
-
 def _check_memory(need: int, subject: str) -> None:
     """Raise ValueError when need bytes exceed the machine's physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -74,19 +48,21 @@ def _check_memory(need: int, subject: str) -> None:
         )
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes.  limit < 2 gives an empty table.  A limit is rejected first when its
-    mask and 50 bytes (measured peak) per prime, pi < 1.25506 limit / ln limit, exceed memory."""
+def sieve_primes(limit: int, lo: float = 2) -> list[int]:
+    """The primes lo <= p <= limit as an ascending list, by the sieve of Eratosthenes; limit < 2
+    gives [].  A limit is rejected first when its mask and 50 bytes (measured peak) per prime,
+    pi < 1.25506 limit / ln limit, exceed memory."""
     limit = int(limit)
     if limit < 2:
-        return PrimeTable(limit=limit, primes=())
+        return []
     _check_memory(limit + 1 + int(50 * 1.25506 * limit / math.log(limit)), f"the prime sieve to {limit}")
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=tuple(int(p) for p in np.nonzero(mask)[0]))
+    ps = np.flatnonzero(mask)
+    return ps[ps.searchsorted(lo) :].tolist()
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -90,7 +90,7 @@ def cache_build(T: float, X: float) -> ApCache:
     from .curves import sigma_p_batch
     from .families import _box
 
-    ps = sieve_primes(int(X)).in_range(5, X)
+    ps = sieve_primes(int(X), 5)
     grid = _box(T)
     R, S = grid.cells()
     # 8 bytes of traces and 32 of records for each (curve, prime)
@@ -215,7 +215,7 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     from .weights import h_X
 
     R, S = _box(T).cells()
-    ps = np.asarray(sieve_primes(int(X)).in_range(5, X), dtype=np.int64)
+    ps = np.asarray(sieve_primes(int(X), 5), dtype=np.int64)
     rmax, smax, P = int_root(T, 3), int_root(T, 2), len(ps)
     width = 2 * smax + 1
     # key = cell * P + prime index with cell = (r + rmax) * width + s + smax: strictly increasing, as

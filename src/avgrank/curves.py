@@ -115,17 +115,20 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
+def _minimality_bound(r: int, s: int) -> int:
+    """A bound on every p with p^4 | r and p^6 | s, for (r, s) != (0, 0)."""
+    if r == 0:
+        return round(abs(s) ** (1 / 6)) + 1
+    if s == 0:
+        return round(abs(r) ** (1 / 4)) + 1
+    return min(round(abs(r) ** (1 / 4)), round(abs(s) ** (1 / 6))) + 1
+
+
 def is_minimal(r: int, s: int) -> bool:
     """No prime p has p^4 | r and p^6 | s.  (0, 0) counts as non-minimal."""
     if r == 0 and s == 0:
         return False
-    if r == 0:
-        bound = round(abs(s) ** (1 / 6)) + 1
-    elif s == 0:
-        bound = round(abs(r) ** (1 / 4)) + 1
-    else:
-        bound = min(round(abs(r) ** (1 / 4)), round(abs(s) ** (1 / 6))) + 1
-    for p in sieve_primes(bound):
+    for p in sieve_primes(_minimality_bound(r, s)):
         p4, p6 = p**4, p**6
         if r % p4 == 0 and s % p6 == 0:
             return False
@@ -136,14 +139,8 @@ def star_map(r: int, s: int) -> tuple[Curve, int]:
     """Maximal d with d^4 | r and d^6 | s, plus the minimal quotient curve."""
     if r == 0 and s == 0:
         raise ValueError("star_map undefined at (0, 0)")
-    if r == 0:
-        bound = round(abs(s) ** (1 / 6)) + 1
-    elif s == 0:
-        bound = round(abs(r) ** (1 / 4)) + 1
-    else:
-        bound = min(round(abs(r) ** (1 / 4)), round(abs(s) ** (1 / 6))) + 1
     d = 1
-    for p in sieve_primes(bound):
+    for p in sieve_primes(_minimality_bound(r, s)):
         er = _valuation(r, p) // 4 if r != 0 else None
         es = _valuation(s, p) // 6 if s != 0 else None
         e = min(x for x in (er, es) if x is not None)

@@ -42,7 +42,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import PrimeTable, _check_memory, sieve_primes
+from .arith import _check_memory, sieve_primes
 from .curves import (
     Curve,
     ap,
@@ -232,30 +232,27 @@ def S_T(params: FamilyParams) -> float:
 # explicit-formula prime sums
 
 
-def U1(curve: Curve, X: float, primes: PrimeTable) -> float:
-    """-sum_{5 <= p <= X} (log p / p) h_X(log p) a_p(E)."""
+def U1(curve: Curve, X: float, primes: list[int]) -> float:
+    """-sum_{5 <= p <= X} (log p / p) h_X(log p) a_p(E); primes must reach X."""
     if X < 5:
         return 0.0
-    terms = []
-    for p in primes.in_range(5, X):
-        t = ap(curve, p)
-        terms.append(-(math.log(p) / p) * h_X(math.log(p), X) * t.ap)
+    terms = [-(math.log(p) / p) * h_X(math.log(p), X) * ap(curve, p).ap for p in primes if 5 <= p <= X]
     return math.fsum(terms)
 
 
-def U2(curve: Curve, X: float, primes: PrimeTable) -> float:
-    """sum_{p^2 <= X, p >= 5} c_{p^2}(E) (2 log p) h_X(2 log p)."""
+def U2(curve: Curve, X: float, primes: list[int]) -> float:
+    """sum_{p^2 <= X, p >= 5} c_{p^2}(E) (2 log p) h_X(2 log p); primes must reach sqrt(X)."""
     if X < 25:
         return 0.0
-    terms = []
-    for p in primes.in_range(5, math.sqrt(X)):
-        t = ap(curve, p)
-        terms.append(c_pk(t, 2) * 2 * math.log(p) * h_X(2 * math.log(p), X))
+    root = math.sqrt(X)
+    terms = [
+        c_pk(ap(curve, p), 2) * 2 * math.log(p) * h_X(2 * math.log(p), X) for p in primes if 5 <= p <= root
+    ]
     return math.fsum(terms)
 
 
-def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: PrimeTable | None = None) -> float:
-    """log(N_surrogate)/log X + (2/log X)(U1 + U2) + C0/log X."""
+def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: list[int] | None = None) -> float:
+    """log(N_surrogate)/log X + (2/log X)(U1 + U2) + C0/log X; primes, if given, must reach X."""
     if primes is None:
         primes = sieve_primes(int(X))
     logX = math.log(X)
@@ -282,7 +279,7 @@ def prime_terms(
     the residues, since p | Delta depends only on r and s mod p.  Each
     element equals the term that U1 / U2 sum for that curve, bit for bit.
     """
-    for p in sieve_primes(int(X)).in_range(lo, X):
+    for p in sieve_primes(int(X), lo):
         rm = np.asarray(R % p, dtype=np.int64)
         sm = np.asarray(S % p, dtype=np.int64)
         sig = sigma_p_batch(rm, sm, p)
@@ -357,9 +354,7 @@ def _conductor_batch(R: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """log of the conductor surrogate, vectorized over a family (the oracle)."""
     rem, logn = _strip_2_3(delta)
     top = int(rem.max()) if len(rem) else 1
-    for p in sieve_primes(math.isqrt(top)):
-        if p < 5:
-            continue
+    for p in sieve_primes(math.isqrt(top), 5):
         m = rem % p == 0
         if not m.any():
             continue
@@ -391,9 +386,7 @@ def _conductor_grid(grid: BoxGrid) -> np.ndarray:
     row = np.full(grid.keep.size, -1, dtype=np.int64)  # cell -> index into R
     row[grid.keep.ravel()] = np.arange(len(R))
     singular = np.count_nonzero(np.equal.outer(r_term, s_term))  # roots at every p
-    for p in sieve_primes(math.isqrt(top)):
-        if p < 5:
-            continue
+    for p in sieve_primes(math.isqrt(top), 5):
         a, b = r_term % p, s_term % p
         order = np.argsort(b)
         keys = b[order]
@@ -494,7 +487,7 @@ def lemma2_lhs(params: FamilyParams, P: float) -> float:
     rv, sv, wr, ws = _weighted_axes(params)
     W = np.multiply.outer(wr, ws)
     total = []
-    for p in sieve_primes(int(2 * P)).in_range(P + 1, 2 * P):
+    for p in sieve_primes(int(2 * P), P + 1):
         sig = sigma_p_batch(rv[:, None], sv, p)
         total.append(abs(math.fsum((W * sig).ravel().tolist())))
     return math.fsum(total)

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import PrimeTable, sieve_primes
+from .arith import sieve_primes
 from .curves import Curve, sigma_p
 from .families import _box, int_root, prime_terms, rank_bound_terms
 from .weights import h_X
@@ -42,15 +42,13 @@ class TermType(Enum):
     TYPE_II = "II"  # some exponent equals 1
 
 
-def V(curve: Curve, X: float, primes: PrimeTable) -> float:
-    """sum_{100 < p <= X} (log p / p) h_X(log p) sigma_p(E)."""
+def V(curve: Curve, X: float, primes: list[int]) -> float:
+    """sum_{100 < p <= X} (log p / p) h_X(log p) sigma_p(E); primes must reach X."""
     if curve.singular:
         raise ValueError("V requires Delta != 0")
-    terms = []
-    for p in primes.in_range(101, X):
-        terms.append(
-            (math.log(p) / p) * h_X(math.log(p), X) * sigma_p(curve.r, curve.s, p)
-        )
+    terms = [
+        (math.log(p) / p) * h_X(math.log(p), X) * sigma_p(curve.r, curve.s, p) for p in primes if 101 <= p <= X
+    ]
     return math.fsum(terms)
 
 
@@ -106,8 +104,7 @@ def type1_S(X: float) -> float:
     """S = sum_{100 < p <= X} (2 h_X(log p) log p)^2 / p; tends to (log^2 X)/3."""
     if X <= 100:
         return 0.0
-    p = sieve_primes(int(X)).array()
-    p = p[(p > 100) & (p <= X)]
+    p = np.asarray(sieve_primes(int(X), 101), dtype=np.int64)
     lp = np.log(p.astype(np.float64))
     terms = (2.0 * h_X(lp, X) * lp) ** 2 / p
     return math.fsum(terms.tolist())

@@ -89,12 +89,12 @@ def _fundamental_array(lo: float, hi: float) -> np.ndarray:
 
     D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4 squarefree; both
     squarefree tests are slice sieves by p^2, over [lo, hi] and over the
-    range of m, with one prime table.
+    range of m, with one list of primes.
     """
     lo, hi = int(math.ceil(lo)), int(math.floor(hi))
     if hi < lo:
         return np.array([], dtype=np.int64)
-    ps = sieve_primes(math.isqrt(max(abs(lo), abs(hi), 1))).primes
+    ps = sieve_primes(math.isqrt(max(abs(lo), abs(hi), 1)))
     vals = np.arange(lo, hi + 1, dtype=np.int64)
     keep = (vals % 4 == 1) & _squarefree_flags(lo, hi, ps)
     mlo, mhi = -(-lo // 4), hi // 4
@@ -105,7 +105,7 @@ def _fundamental_array(lo: float, hi: float) -> np.ndarray:
     return vals[keep]
 
 
-def _squarefree_flags(lo: int, hi: int, ps: tuple[int, ...]) -> np.ndarray:
+def _squarefree_flags(lo: int, hi: int, ps: list[int]) -> np.ndarray:
     """Squarefree flags of lo..hi (0 -> False); ps holds every p with p^2 <= max |n|."""
     sf = np.ones(hi - lo + 1, dtype=bool)
     for p in ps:
@@ -260,7 +260,7 @@ def sieve_indicator_X(n: int, T: float, N: int) -> int:
     if T < 16:
         raise ValueError("sieve_indicator_X requires T >= 16")
     cut = math.log(math.log(T))
-    ps = [p for p in sieve_primes(int(cut)) if p > 2 and N % p != 0]
+    ps = [p for p in sieve_primes(int(cut), 3) if N % p != 0]
     divisors = [1]
     for p in ps:
         divisors += [d * p for d in divisors]
@@ -379,7 +379,7 @@ def twisted_pnt_sum(base: Curve, D: int, x: float) -> float:
     if D != 1 and not is_fundamental_discriminant(D):
         raise ValueError("D must be 1 or a fundamental discriminant")
     terms = []
-    for p in sieve_primes(int(x)).in_range(5, x):
+    for p in sieve_primes(int(x), 5):
         chi = kronecker(D, p) if D != 1 else 1
         if chi == 0:
             continue

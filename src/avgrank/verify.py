@@ -25,7 +25,7 @@ __all__ = ["SUITES"]
 def _suite_traces() -> bool:
     """The two scalar oracles and the batch engine agree on a 9 x 9 rectangle."""
     rv = np.arange(-4, 5)
-    for p in sieve_primes(50).in_range(5, 50):
+    for p in sieve_primes(50, 5):
         batch = sigma_p_batch(rv[:, None], rv, p)
         for r in range(-4, 5):
             for s in range(-4, 5):
@@ -80,7 +80,7 @@ def _suite_kernel() -> bool:
 def _suite_sieve_indicator() -> bool:
     T, N = 1e10, 1
     cut = math.log(math.log(T))
-    ps = [p for p in sieve_primes(int(cut)) if p > 2]
+    ps = sieve_primes(int(cut), 3)
     for n in range(1, 600, 2):
         direct = 0 if any(n % (p * p) == 0 for p in ps) else 1
         if twists.sieve_indicator_X(n, T, N) != direct:

@@ -57,7 +57,7 @@ def _sq_count_table(p: int) -> np.ndarray:
 
 def _trace_sweep():
     """sigma_p, charsum and point-count traces over the criterion-1 box."""
-    primes = a.sieve_primes(97).in_range(5, 97)
+    primes = a.sieve_primes(97, 5)
     mism_char, mism_count, hasse_bad = 0, 0, 0
     for p in primes:
         sq = _sq_count_table(p)
@@ -168,7 +168,7 @@ def test_criterion_07_kernel():
         for t in np.linspace(-6.7, 6.7, 41):
             worst = max(worst, abs(fourier_numeric(w, float(t)).real - kernel_k_hat(float(t), X)))
         plateau = 1.0 / math.log(X) ** 2
-        for p in a.sieve_primes(int(X)).in_range(2, X ** (1.0 - 1.0 / X)):
+        for p in a.sieve_primes(int(X ** (1.0 - 1.0 / X))):
             if kernel_k(math.log(p) / math.log(X), X) != plateau:
                 plateau_exact = False
     ok = worst < 1e-8 and plateau_exact
@@ -182,7 +182,7 @@ def test_criterion_08_u2_inequality():
     caps = {}
     for X in (100.0, 10000.0):
         primes = a.sieve_primes(int(X))
-        cap = 2 * math.fsum(math.log(p) / p for p in primes.in_range(5, math.sqrt(X)))
+        cap = 2 * math.fsum(math.log(p) / p for p in a.sieve_primes(int(math.sqrt(X)), 5))
         worst = max(abs(a.U2(cur, X, primes)) for cur in a.enumerate_C(1000.0))
         caps[X] = (worst, cap)
         ok = ok and worst <= cap
@@ -243,7 +243,7 @@ def test_criterion_11_poisson_identity():
     worst = 0.0
     for w in weights:
         for b in (1, 8):
-            for p in a.sieve_primes(31).in_range(3, 31):
+            for p in a.sieve_primes(31, 3):
                 worst = max(worst, poisson_twist_check(w, b, p, 200.0))
     ok = worst < 1e-6
     assert verdict(11, ok, f"dual-sum residual < 1e-6 for p <= 31, b in {{1,8}}, two weights (worst {worst:.2e})")

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,9 +27,10 @@ PRIMES_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61
 
 
 def test_sieve_matches_known_list():
-    assert list(sieve_primes(100)) == PRIMES_100
-    assert list(sieve_primes(1)) == []
-    assert list(sieve_primes(2)) == [2]
+    assert sieve_primes(100) == PRIMES_100
+    assert all(type(p) is int for p in sieve_primes(100))
+    assert sieve_primes(1) == []
+    assert sieve_primes(2) == [2]
     assert len(sieve_primes(10**6)) == 78498
 
 
@@ -41,16 +43,33 @@ def test_sieve_beyond_physical_memory_is_refused_before_allocating(monkeypatch):
     assert len(sieve_primes(10**5)) == 9592
 
 
-def test_prime_table_in_range():
-    pt = sieve_primes(100)
-    assert pt.in_range(5, 20) == [5, 7, 11, 13, 17, 19]
-    assert pt.in_range(5, 100.9) == pt.in_range(5, 100)
-    with pytest.raises(ValueError):
-        pt.in_range(5, 101)
+@pytest.mark.parametrize("lo", [2, 5])
+def test_sieve_peak_memory_per_prime_is_within_the_checked_50_bytes(lo):
+    # the memory check assumes the limit + 1 byte mask plus 50 B per prime;
+    # compared per prime, since its bound on pi(limit) has ~16% slack that
+    # would hide a copy of the prime array (56 B per prime)
+    limit = 10**6
+    sieve_primes(100)  # numpy's first-call set-up is not the sieve's
+    tracemalloc.start()
+    try:
+        ps = sieve_primes(limit, lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - (limit + 1)) / len(ps) <= 50
+
+
+def test_sieve_lower_end():
+    assert sieve_primes(20, 5) == [5, 7, 11, 13, 17, 19]
+    assert sieve_primes(100, 0) == sieve_primes(100, 2) == PRIMES_100
+    assert sieve_primes(100, 97) == [97]
+    assert sieve_primes(100, 98) == []
+    assert sieve_primes(30, 7.5) == [11, 13, 17, 19, 23, 29]  # a float end, as lemma2_lhs passes P + 1
+    assert sieve_primes(4, 5) == sieve_primes(1, 5) == []
 
 
 def test_is_prime_agrees_with_sieve():
-    pt = set(sieve_primes(2000).primes)
+    pt = set(sieve_primes(2000))
     for n in range(2000):
         assert is_prime(n) == (n in pt)
     assert is_prime(2**61 - 1)  # Mersenne prime

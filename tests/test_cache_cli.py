@@ -284,7 +284,7 @@ def test_u1_sweep_cache_matches_scalar_reference():
     # a_p when a record holds it and sigma_p otherwise; random halves of the
     # records with random sign flips, so hits and misses interleave
     T, X = 300.0, 40.0
-    ps = sieve_primes(int(X)).in_range(5, X)
+    ps = sieve_primes(int(X), 5)
     curves = list(enumerate_C(T))
     traces = {(c.r, c.s, p): sigma_p(c.r, c.s, p) for c in curves for p in ps}
     full = cache_build(T, X).records
@@ -646,6 +646,9 @@ def _argv(cmd, tmp_path, *extra):
         ("density", ("--T", "1e300"), "T = 1e+300 is too large"),
         ("twists", ("--T", "1e40"), "T = 1e+40 is too large"),
         ("cache build", ("--T", "1e40"), "T = 1e+40 is too large"),
+        # the base curve's checks; new cases go last, as the case ids are positional
+        ("twists", ("--w", "2"), "base root number must be +-1"),
+        ("twists", ("--r", "0", "--s", "0"), "base curve (0, 0) is singular"),
     ],
 )
 def test_cli_bad_value_flag_exits_2_before_writing(tmp_path, capsys, cmd, flags, match):
@@ -713,6 +716,30 @@ def test_cli_unreadable_input_file_exits_2(tmp_path, capsys, argv, match):
     assert rc == 2
     assert match in _one_error_line(capsys)
     assert sorted(f.name for f in tmp_path.iterdir()) == ["bin.txt"]
+
+
+def test_cli_twists_base_index_list_config_and_empty_family_exits(tmp_path, capsys):
+    # an out-of-range base index and a config that is not a JSON object exit
+    # 2 before writing; an empty twist family exits 3 after writing a
+    # header-only CSV and a JSON of zero weights and null averages
+    curves, cfg, out = tmp_path / "one.txt", tmp_path / "list.json", tmp_path / "out"
+    curves.write_text("1 1 49 1\n")
+    cfg.write_text("[1, 2]")
+    out.mkdir()
+    for extra, match in [
+        (("--curve-file", str(curves), "--base-index", "3"), f"base index 3 out of range for {curves}"),
+        (("--config", str(cfg)), f"config file {cfg} must hold a JSON object"),
+    ]:
+        assert run_cli(_argv("twists", out, *extra)) == 2
+        assert match in _one_error_line(capsys)
+        assert list(out.iterdir()) == []
+    assert run_cli(_argv("twists", out, "--T", "2.5", "--X", "2")) == 3
+    assert capsys.readouterr().err == "error: empty twist family\n"
+    assert (out / "out.csv").read_text() == "D,sign,weight,logN_term,U1_term,U2_term,bound\n"
+    summary = json.loads((out / "out.json").read_text())
+    assert summary["W_plus"] == summary["W_minus"] == summary["W_unsigned"] == 0.0
+    assert summary["avg_bound_plus"] is summary["avg_bound_minus"] is None
+    assert summary["proportion_rank0_lower"] is summary["proportion_rank1_lower"] is None
 
 
 @pytest.mark.parametrize("cmd, flag", [("cache build", "--out"), ("density", "--out-json")])

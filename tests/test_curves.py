@@ -89,7 +89,7 @@ def test_sigma_p_batch_matches_scalar():
 
 
 # primes on both sides of p mod 3 (p = 1 mod 3 has nontrivial cube roots of 1)
-ORACLE_PRIMES = sieve_primes(200).in_range(5, 200)
+ORACLE_PRIMES = sieve_primes(200, 5)
 
 
 @st.composite
@@ -210,7 +210,7 @@ def test_sigma_p_large_coefficients_no_overflow():
 
 
 def test_hasse_bound_sweep():
-    for p in sieve_primes(60).in_range(5, 60):
+    for p in sieve_primes(60, 5):
         for r in range(-8, 9):
             for s in range(-8, 9):
                 assert sigma_p(r, s, p) ** 2 <= 4 * p

@@ -154,25 +154,25 @@ def test_prime_terms_int64_and_object_arrays_agree():
     grid = _box(2.0e4)
     R, S = grid.cells()
     X = 200.0
-    primes = sieve_primes(200)
+    primes = sieve_primes(int(X), 5)
     fast = list(prime_terms(R, S, X))
     # shifting by the primorial keeps every residue mod p <= X, so the bad
     # primes read off the residues too, and takes the coefficients far
     # beyond int64
-    M = math.prod(primes.in_range(2, X))
+    M = math.prod(sieve_primes(int(X)))
     Ro, So = R.astype(object) + M, S.astype(object) - M
     slow = list(prime_terms(Ro, So, X))
-    assert [p for p, _, _ in fast] == primes.in_range(5, X)
-    assert [p for p, _, _ in slow] == primes.in_range(5, X)
+    assert [p for p, _, _ in fast] == primes
+    assert [p for p, _, _ in slow] == primes
     # the grid form: rv[:, None], sv, cut by keep
     rect = list(prime_terms(grid.rv[:, None], grid.sv, X))
-    assert [p for p, _, _ in rect] == primes.in_range(5, X)
+    assert [p for p, _, _ in rect] == primes
     for (_, a1, a2), (_, b1, b2), (_, c1, c2) in zip(fast, slow, rect):
         assert np.array_equal(a1, b1)
         assert np.array_equal(a1, c1[grid.keep])
         assert (a2 is None) == (b2 is None) == (c2 is None)
         assert a2 is None or (np.array_equal(a2, b2) and np.array_equal(a2, c2[grid.keep]))
-    assert sum(t2 is not None for _, _, t2 in fast) == len(primes.in_range(5, math.sqrt(X)))
+    assert sum(t2 is not None for _, _, t2 in fast) == len(sieve_primes(int(math.sqrt(X)), 5))
 
 
 def _sieve_cases(R, S):

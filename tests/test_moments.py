@@ -47,7 +47,7 @@ def test_V_equals_minus_U1_tail():
         tail = U1(cur, X, primes) - (
             -math.fsum(
                 (math.log(p) / p) * h_X(math.log(p), X) * sigma_p(cur.r, cur.s, p)
-                for p in primes.in_range(5, 100)
+                for p in sieve_primes(100, 5)
             )
         )
         assert abs(V(cur, X, primes) - (-tail)) < 1e-12
@@ -67,10 +67,9 @@ def test_V_family_equals_the_direct_rectangle_sum():
     # V through prime_terms against the direct sum of (log p / p) h_X(log p)
     # sigma_p over the D(T) rectangle, bit for bit
     T, X = 1000.0, 300.0
-    primes = sieve_primes(300)
     grid = _box(T, minimal_only=False)
     want = np.zeros(grid.keep.shape)
-    for p in primes.in_range(101, X):
+    for p in sieve_primes(int(X), 101):
         want += (math.log(p) / p) * h_X(math.log(p), X) * sigma_p_batch(grid.rv[:, None], grid.sv, p)
     got = V_family(T, X)
     assert np.array_equal(got.view(np.int64), want[grid.keep].view(np.int64))
