@@ -66,10 +66,13 @@ def sieve_primes(limit: int, lo: float = 2) -> list[int]:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_12: below it, Miller-Rabin on the twelve _MR_BASES is deterministic
+# (Sorenson and Webster, Math. Comp. 86 (2017); OEIS A014233)
+_PSI_12 = 318665857834031151167461
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid far beyond the sizes used here)."""
+    """Miller-Rabin on the bases _MR_BASES, deterministic for n < _PSI_12."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -177,7 +180,11 @@ def gauss_sum(p: int) -> complex:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Trial-division factorization of n >= 1 into {prime: exponent}."""
+    """Trial-division factorization of n >= 1 into {prime: exponent}.
+
+    The division stops at a cofactor below psi_12 that Miller-Rabin proves
+    prime, tested once before the trial loop and once after each prime found.
+    """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     out: dict[int, int] = {}
@@ -186,11 +193,12 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 5
-    while d * d <= n:
+    while d * d <= n and not (n < _PSI_12 and is_prime(n)):
+        while d * d <= n and n % d:
+            d += 2 if d % 6 == 5 else 4  # 5, 7, 11, 13, ... wheel
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 2 if d % 6 == 5 else 4  # 5, 7, 11, 13, ... wheel
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

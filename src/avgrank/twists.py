@@ -1,18 +1,19 @@
 """Quadratic twist families D y^2 = x^3 + r x + s.
 
 Root numbers propagate from the base curve by w_D = w * sign(D) * chi_D(N);
-the twist set splits by (k, delta, e): sign of D, 2-adic valuation, and the
-residue mod 8 of the odd squarefree part.  twist_batch takes the
-fundamental discriminants of one weight support as one int64 array and
-computes their weights, root-number signs and class triples in array
-passes.  The average-rank experiment takes the rows of nonzero weight
-from every support of a command and reduces all of them to their minimal
+the twist set splits by (k, delta, e): residue mod 8 of the odd squarefree
+part, sign of D, and 2-adic valuation.  twist_batch takes the fundamental
+discriminants of one weight support as one int64 array and computes their
+weights and root-number signs in array passes.  The average-rank
+experiment takes the rows of nonzero weight from every support of a
+command and reduces all of them to their minimal
 models in one array pass, with d and the conductor surrogate read off the
 one factorisation of the base discriminant and the residues of D.  The
 prime sums of all minimal twists then come from one families.prime_terms
 pass, the batch route of the box family, on Python-int arrays; each
 curve's U1 and U2 are the math.fsum of its row of terms, exactly as the
-scalar U1 / U2 sum them, and each root-number class is a mask of the rows.
+scalar U1 / U2 sum them.  Each root-number class is a mask of the rows,
+summed once, and the class triples are read off the kept D.
 The traces are those of the minimal models, not chi_D(p) a_p(E): the two
 differ when p | D and star_map divides p out of the twist.  The scalar
 root_number, class_decompose, star_map and conductor_surrogate are the
@@ -119,19 +120,14 @@ def _squarefree_flags(lo: int, hi: int, ps: list[int]) -> np.ndarray:
 class TwistBatch(NamedTuple):
     """The fundamental discriminants of one weight support coprime to N.
 
-    Arrays over D ascending: the weights w(D / T), zeros included; the
-    twist sign sign(D) chi_D(N), so that w_D = w * twist_sign; and the
-    class triple (k, delta, e) of class_decompose, which the report's
-    class_sign_map reads.  A batch serves both root-number classes of its
-    (N, weight, T).
+    Arrays over D ascending: the weights w(D / T), zeros included, and the
+    twist sign sign(D) chi_D(N), so that w_D = w * twist_sign.  A batch
+    serves both root-number classes of its (N, weight, T).
     """
 
     D: np.ndarray
     weights: np.ndarray
     twist_sign: np.ndarray
-    k: np.ndarray
-    delta: np.ndarray
-    e: np.ndarray
 
 
 def twist_batch(N: int, weight: SmoothWeight, T: float) -> TwistBatch:
@@ -151,14 +147,11 @@ def twist_batch(N: int, weight: SmoothWeight, T: float) -> TwistBatch:
     absD = np.abs(D)
     n = ((N - 1) % absD.astype(object)).astype(np.int64) + 1
     keep = np.gcd(absD, n) == 1
-    D, absD, n = D[keep], absD[keep], n[keep]
-    e = _two_adic(D)
-    delta = np.sign(D)
+    D, n = D[keep], n[keep]
     return TwistBatch(
         D=D,
         weights=np.asarray(weight(D / T), dtype=np.float64),
-        twist_sign=delta * _kronecker_array(D, n),
-        k=(absD >> e) % 8, delta=delta, e=e,
+        twist_sign=np.sign(D) * _kronecker_array(D, n),
     )
 
 
@@ -311,15 +304,12 @@ def twist_average_experiment(
     sums taken in one prime_terms pass, all twists at once per prime.  The
     conductor surrogate takes the known prime divisors of D and of Delta_E.
 
-    Each D has one sign, so each root-number class is a mask of the rows.
-    The class aggregates round twice, as if each (support, sign) class had
-    been summed on its own and merged: the W of a (support, sign) class is
-    the fsum of its weights, W[sign] the fsum of those class totals, and
-    avg_bound[sign] the fsum of W times the average bound over the
-    nonempty classes of that sign, divided by W[sign].  That keeps W and
-    avg_bound bit for bit where one sign spans both supports (N = 389).
-    W_unsigned is the plain left-to-right sum of every batch's weights,
-    zeros included, in the order of weights.
+    Each D has one sign, so each root-number class is a mask of the rows:
+    W[sign] is the fsum of its weights and avg_bound[sign] the fsum of
+    weight times bound over W[sign], each correctly rounded, whichever
+    supports the rows come from.  The class triples of class_sign_map are
+    read off the kept D.  W_unsigned is the plain left-to-right sum of
+    every batch's weights, zeros included, in the order of weights.
     """
     if w not in (-1, 1):
         raise ValueError("w and sign must be +-1")
@@ -337,10 +327,9 @@ def twist_average_experiment(
     W_unsigned = 0.0
     for wv in rows.weights.tolist():
         W_unsigned += wv
-    support = np.repeat(np.arange(len(batches)), [len(b.D) for b in batches])
     keep = np.flatnonzero(rows.weights != 0.0)
     keep = keep[np.argsort(rows.D[keep], kind="stable")]
-    D, wt, support = rows.D[keep], rows.weights[keep], support[keep]
+    D, wt = rows.D[keep], rows.weights[keep]
     sign = w * rows.twist_sign[keep]
     # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
     R, S, _, cond = _minimal_twists(base, D)
@@ -352,15 +341,13 @@ def twist_average_experiment(
     bound = lt + (2.0 / logX) * (u1a + u2a) + C0 / logX
     W, avg_bound = {}, {}
     for s in (1, -1):
-        parts = [m for m in ((support == i) & (sign == s) for i in range(len(batches))) if m.any()]
-        Wc = [math.fsum(wt[m].tolist()) for m in parts]
-        W[s] = math.fsum(Wc)
-        avg_bound[s] = math.nan
-        if W[s] > 0:
-            avg_bound[s] = math.fsum(Wi * _wavg(wt[m], bound[m], Wi) for m, Wi in zip(parts, Wc)) / W[s]
+        m = sign == s
+        W[s] = math.fsum(wt[m].tolist())
+        avg_bound[s] = _wavg(wt[m], bound[m], W[s])
+    e = _two_adic(D)
+    classes = zip(((np.abs(D) >> e) % 8).tolist(), np.sign(D).tolist(), e.tolist(), sign.tolist())
     class_sign_map = {}
-    classes = np.stack((rows.k[keep], rows.delta[keep], rows.e[keep], sign), axis=1)
-    for *triple, s in np.unique(classes, axis=0).tolist():
+    for *triple, s in sorted(set(classes)):
         class_sign_map.setdefault(tuple(triple), []).append(s)
     return TwistReport(
         D=D, sign=sign, weight=wt,

@@ -1,11 +1,15 @@
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avgrank
 from avgrank.arith import (
     divisors,
     euler_phi,
@@ -175,6 +179,22 @@ def test_factorize_roundtrip():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+def test_factorize_stops_at_a_prime_cofactor():
+    # below psi_12 a Miller-Rabin prime ends the division: trial division to
+    # the square roots of these cofactors takes from tens of seconds to
+    # minutes, so a child process that still divides runs into the timeout
+    cases = {
+        2**4 * 3**3 * 148149037038814817: {2: 4, 3: 3, 148149037038814817: 1},
+        10007**2 * (2**61 - 1): {10007: 2, 2**61 - 1: 1},
+    }
+    code = f"from avgrank.arith import factorize\nfor n in {list(cases)!r}:\n    print(factorize(n))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(avgrank.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=10
+    )
+    assert out.stdout.splitlines() == [str(f) for f in cases.values()]
 
 
 def test_gcd_zero_convention():

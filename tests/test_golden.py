@@ -35,7 +35,8 @@ CASES = {
         ("twists.csv", "twists.json"),
     ),
     # N = 389 puts the odd class in both supports, so W_minus and
-    # avg_bound_minus pin the rounding per (support, sign) class, then per sign
+    # avg_bound_minus pin one correctly rounded sum per sign over rows from
+    # both supports
     "twists-389": (
         ["twists", "--r", "-2", "--s", "3", "--N", "389", "--w", "-1", "--T", "400", "--X", "60",
          "--out-csv", "{out}/twists.csv", "--out-json", "{out}/twists.json"],

@@ -77,6 +77,17 @@ def test_help_and_bad_values_return_before_numpy_loads(tmp_path):
     assert got == [[], 2, [2, 2], 2, 0, []]
 
 
+def test_twists_process_loads_no_numpy_ma(tmp_path):
+    got = _run(
+        "from avgrank import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['twists', '--r', '1', '--s', '1', '--N', '49', '--w', '1', '--T', '200', '--X', '30',\n"
+        f"                   '--out-csv', {str(tmp_path / 't.csv')!r}, '--out-json', {str(tmp_path / 't.json')!r}])\n"
+        "report([rc, loaded('numpy', 'numpy.ma')])\n"
+    )
+    assert got == [0, ["numpy"]]
+
+
 @pytest.fixture
 def cache_file(tmp_path):
     path = tmp_path / "ap.apcache"

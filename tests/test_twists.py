@@ -132,11 +132,21 @@ def test_twist_batch_matches_scalar_oracles(N):
     want = [D for D in fundamental_discriminants(-T, T) if math.gcd(D, N) == 1]
     assert batch.D.dtype == np.int64 and batch.D.tolist() == want
     for i, D in enumerate(want):
-        k, delta, e, _ = class_decompose(D)
-        assert (batch.k[i], batch.delta[i], batch.e[i]) == (k, delta, e), D
         for w in (-1, 1):
             assert w * batch.twist_sign[i] == root_number(w, D, N), (D, N)
         assert batch.weights[i] == weight(D / T)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 49, 389, 360, 2**89 - 1])
+def test_class_sign_map_matches_class_decompose(N):
+    # every row's class triple is a key whose list holds the row's sign, and
+    # no key or sign appears that no row gives; the lists ascend
+    supports = (bump(0.5, 1.0), bump(-1.0, -0.5))  # the CLI's two supports
+    rep = twist_average_experiment(Curve(1, 1), N, 1, supports, 1000.0, 30.0)
+    want = {}
+    for D, s in zip(rep.D.tolist(), rep.sign.tolist()):
+        want.setdefault(class_decompose(D)[:3], set()).add(s)
+    assert rep.class_sign_map == {triple: sorted(signs) for triple, signs in want.items()}
 
 
 @pytest.mark.parametrize("T", [400.0, 4e3, 2e4, 1e5])
