@@ -50,7 +50,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import gauss_sum, is_prime, residue_table, sieve_primes
+from .arith import factorize, gauss_sum, residue_table, sieve_primes
 
 __all__ = [
     "Curve",
@@ -302,42 +302,21 @@ def c_pk(trace: TraceData, k: int) -> float:
     raise ValueError("c_pk supports k in {1, 2}")
 
 
-def conductor_surrogate(curve: Curve, prime_hints: tuple[int, ...] = ()) -> int:
+def conductor_surrogate(curve: Curve) -> int:
     """Documented conservative upper bound for the conductor.
 
     N = 2^8 * 3^5^[3 | Delta] * prod_{p >= 5, p | Delta} p^{f_p} with
     f_p = 1 when p does not divide r and f_p = 2 otherwise.  Exact local
     analysis at 2 and 3 is deliberately replaced by the worst-case
-    exponents, so log(N) keeps the rank bound an upper bound.
-
-    prime_hints may list known prime divisors of Delta (used for twisted
-    curves whose discriminants are too large for blind trial division).
+    exponents, so log(N) keeps the rank bound an upper bound.  The primes
+    of Delta come from arith.factorize.
     """
     if curve.singular:
         raise ValueError("conductor_surrogate requires a nonsingular curve")
-    rem = abs(curve.delta)
     cond = 2**8
-    while rem % 2 == 0:
-        rem //= 2
-    if curve.delta % 3 == 0:
-        cond *= 3**5
-        while rem % 3 == 0:
-            rem //= 3
-    odd_primes = []
-    for p in sorted(set(prime_hints)):
-        if p >= 5 and is_prime(p) and rem % p == 0:
-            odd_primes.append(p)
-            while rem % p == 0:
-                rem //= p
-    d = 5
-    while d * d <= rem:
-        if rem % d == 0:
-            odd_primes.append(d)
-            while rem % d == 0:
-                rem //= d
-        d += 2 if d % 6 == 5 else 4
-    if rem > 1:
-        odd_primes.append(rem)
-    for p in sorted(odd_primes):
-        cond *= p if curve.r % p != 0 else p * p
+    for p in factorize(abs(curve.delta)):
+        if p == 3:
+            cond *= 3**5
+        elif p >= 5:
+            cond *= p if curve.r % p != 0 else p * p
     return cond

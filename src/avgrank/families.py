@@ -21,9 +21,12 @@ the twists and the cache sweep, and rv[:, None], sv for a grid, where
 rank_bound_terms takes each U1 / U2 term on the whole rectangle, cuts to
 the kept cells once at the end and forms the rank bound.  The gather
 folds the row sign into its table (chi(k) = chi(r) for k = r^3 s^-2), so
-a grid cell costs one gather and one multiply.  All aggregation uses
-math.fsum in a fixed order so repeated runs are bit-identical; the
-scalar U1, U2 and rank_bound remain as oracles.
+a grid cell costs one gather and one multiply.  rank_bound_terms (and
+moments.V_family) add each curve's prime terms with += one prime at a
+time in increasing p; the sums over curves and over a row's terms (S_T,
+the weighted averages, fsum_rows, lemma2_lhs and the scalar U1, U2) use
+math.fsum.  Both orders are fixed, so repeated runs are bit-identical;
+the scalar U1, U2 and rank_bound remain as oracles.
 
 The conductor surrogate of a grid comes from a root sieve (the line
 sieve of C. Pomerance, "The quadratic sieve factoring algorithm",

@@ -39,7 +39,6 @@ from .arith import (
     legendre,
     moebius,
     sieve_primes,
-    squarefree_kernel,
 )
 from .curves import Curve, _valuation, discriminant, sigma_p
 from .families import _wavg, fsum_rows, prime_terms
@@ -192,10 +191,10 @@ def _minimal_twists(
     of Delta_E: an odd p | d needs p^2 | r and p^3 | s (or r = 0, s = 0),
     and 2 | d for every even D.  So d, and the primes of Delta, come from
     the factorisation of Delta_E and the residues of D.  N is the
-    Python-int array of what conductor_surrogate returns with the prime
-    hints of D and Delta_E: 2^8, 3^5 when 3 | Delta, and p^{f_p} for
-    p >= 5, where a prime of D outside Delta_E always gives p^2 (p^6 || Delta
-    and p | R).  d and N stay Python ints: a prime of Delta_E may pass 2^31.5.
+    Python-int array of what conductor_surrogate returns: 2^8, 3^5 when
+    3 | Delta, and p^{f_p} for p >= 5, where a prime of D outside Delta_E
+    always gives p^2 (p^6 || Delta and p | R).  d and N stay Python ints:
+    a prime of Delta_E may pass 2^31.5.
     """
     if base.singular:
         raise ValueError(f"base curve ({base.r}, {base.s}) is singular")
@@ -234,14 +233,9 @@ def class_decompose(D: int) -> tuple[int, int, int, int]:
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     delta = 1 if D > 0 else -1
-    n = abs(D)
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    if e not in (0, 2, 3):
-        raise ValueError(f"2-adic valuation {e} of {D} not in {{0, 2, 3}}")
-    nhat = squarefree_kernel(n)
+    f = factorize(abs(D))
+    e = f.pop(2, 0)
+    nhat = math.prod(f)
     return nhat % 8, delta, e, nhat
 
 

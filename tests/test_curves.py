@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import avgrank
 from avgrank.arith import sieve_primes
 from avgrank.curves import (
     Curve,
@@ -245,6 +250,36 @@ def test_star_map():
         assert cur.r * d**4 == r and cur.s * d**6 == s
 
 
+def _largest_scale(r: int, s: int) -> int:
+    """The largest d with d^4 | r and d^6 | s, by direct search over d."""
+    best, d = 1, 2
+    while (r == 0 or d**4 <= abs(r)) and (s == 0 or d**6 <= abs(s)):
+        if r % d**4 == 0 and s % d**6 == 0:
+            best = d
+        d += 1
+    return best
+
+
+def test_star_map_and_is_minimal_match_direct_search():
+    # the base range holds its own scales (16 = 2^4, 64 = 2^6, 729 = 3^6)
+    # and the r = 0 and s = 0 rows; each scale d maps (r, s) to (r d^4, s d^6)
+    rs = range(-17, 18)
+    ss = sorted({*range(-8, 9), 64, -64, 128, 729, -1458})
+    seen = set()
+    for d in (1, 2, 3, 5, 6, 10):
+        for r0 in rs:
+            for s0 in ss:
+                if r0 == 0 and s0 == 0:
+                    continue
+                r, s = r0 * d**4, s0 * d**6
+                want = _largest_scale(r, s)
+                cur, got = star_map(r, s)
+                assert (cur.r, cur.s, got) == (r // want**4, s // want**6, want), (r, s)
+                assert is_minimal(r, s) == (want == 1), (r, s)
+                seen.add(want)
+    assert {1, 2, 3, 5, 6, 10, 20, 30} <= seen
+
+
 def test_ap_requires_minimal_nonsingular():
     with pytest.raises(ValueError):
         ap(Curve(-3, 2), 5)  # singular
@@ -290,9 +325,20 @@ def test_conductor_surrogate():
         conductor_surrogate(Curve(-3, 2))
 
 
-def test_conductor_surrogate_prime_hints():
+def test_conductor_surrogate_of_a_twist():
     base = Curve(1, 1)
     D = 10007  # prime
     twisted = Curve(base.r * D * D, base.s * D**3)
-    n = conductor_surrogate(twisted, prime_hints=(31, D))
-    assert n == 2**8 * 31 * D**2
+    assert conductor_surrogate(twisted) == 2**8 * 31 * D**2
+
+
+def test_conductor_surrogate_stops_at_a_prime_cofactor():
+    # |Delta| = 2^4 3^3 q with q = 148149037038814817 prime: trial division
+    # to sqrt(q) takes tens of seconds, so a child process that still
+    # divides runs into the timeout
+    code = "from avgrank.curves import Curve, conductor_surrogate\nprint(conductor_surrogate(Curve(1000002, 1)))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(avgrank.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=10
+    )
+    assert int(out.stdout) == 2**8 * 3**5 * 148149037038814817

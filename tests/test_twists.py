@@ -169,14 +169,13 @@ def test_minimal_twists_match_star_map_and_conductor(r, s):
     base = Curve(r, s)
     D = np.array(list(fundamental_discriminants(-600, 600)), dtype=np.int64)
     R, S, disc, cond = _minimal_twists(base, D)
-    base_hints = tuple(factorize(abs(base.delta)))
     seen_d = set()
     for i, Di in enumerate(D.tolist()):
         tw = twist_curve(base, Di)
         minimal, d = star_map(tw.r, tw.s)
         seen_d.add(d)
         assert (R[i], S[i], disc[i]) == (minimal.r, minimal.s, minimal.delta), Di
-        n = conductor_surrogate(minimal, prime_hints=base_hints + tuple(factorize(abs(Di))))
+        n = conductor_surrogate(minimal)
         assert type(cond[i]) is int and cond[i] == n, Di
         if r == 0 or s == 0:
             q = n // 2**8 // (3**5 if minimal.delta % 3 == 0 else 1)
@@ -283,8 +282,7 @@ def test_twist_average_matches_scalar_oracles(r, s, N):
         seen_big |= abs(minimal.delta) > 2**63
         assert rep.U1_raw[i] == U1(minimal, X, primes)
         assert rep.U2_raw[i] == U2(minimal, X, primes)
-        hints = tuple(factorize(abs(base.delta))) + tuple(factorize(abs(D)))
-        n = conductor_surrogate(minimal, prime_hints=hints)
+        n = conductor_surrogate(minimal)
         assert rep.logN_term[i] == math.log(n) / logX
     # an odd-square or unit N leaves one sign class per weight, and it can be empty
     assert set(rep.sign.tolist()) == {1, -1}
