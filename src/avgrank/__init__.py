@@ -48,6 +48,7 @@ _EXPORTS = {
         "average_rank_experiment",
         "enumerate_C",
         "enumerate_D",
+        "prime_sums",
         "prime_terms",
         "rank_bound",
         "rank_bound_terms",

@@ -203,15 +203,15 @@ def cache_load(path: str | Path) -> ApCache:
 def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     """U1 for every curve of C(T), optionally served from a cache.
 
-    The terms come from families.prime_terms over C(T), one fsum per
-    curve, so each value equals the scalar U1 exactly.  The cache's records
-    are joined to the (curve, prime) keys by one searchsorted per prime: a
-    hit replaces the engine's trace, a miss (or no cache) keeps the engine's.
+    The terms come from families.prime_terms over C(T), added with += in
+    increasing p, so each value equals the scalar U1 exactly.  The cache's
+    records are joined to the (curve, prime) keys by one searchsorted per
+    prime: a hit replaces the engine's trace, a miss (or no cache) keeps the engine's.
     """
     import numpy as np
 
     from .arith import sieve_primes
-    from .families import _box, fsum_rows, int_root, prime_terms
+    from .families import _box, int_root, prime_terms
     from .weights import h_X
 
     R, S = _box(T).cells()
@@ -227,9 +227,9 @@ def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
     m[m] = ps[idx[m]] == p[m]
     keys = np.append(((r[m] + rmax) * width + s[m] + smax) * P + idx[m], (2 * rmax + 1) * width * P)
     a, cells = np.append(a[m], 0), ((R + rmax) * width + S + smax) * P
-    cols = []
+    u1 = np.zeros(len(R))
     for j, (p, t1, _) in enumerate(prime_terms(R, S, X)):
         pos = keys.searchsorted(cells + j)
         coef = -(math.log(p) / p) * h_X(math.log(p), X)
-        cols.append(np.where(keys[pos] == cells + j, coef * a[pos], t1))
-    return fsum_rows(cols, len(R))
+        u1 += np.where(keys[pos] == cells + j, coef * a[pos], t1)
+    return u1.tolist()

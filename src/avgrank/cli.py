@@ -254,13 +254,17 @@ def cmd_average_rank(args) -> int:
 
 def cmd_density(args) -> int:
     _require(args, "T", "X", "out_csv", "out_json")
+    T, X = float(args.T), float(args.X)
+    # average-rank's bound, checked before numpy loads and before anything is sieved
+    if T > 0 and X > T ** (5 / 6):
+        raise ConfigError("density requires X <= T^(5/6)")
     import numpy as np
 
     from . import moments
 
     C0 = float(args.C0 or 0.0)
     R_max = int(args.R_max if args.R_max is not None else 8)
-    report = moments.high_rank_census(float(args.T), float(args.X), C0, R_max)
+    report = moments.high_rank_census(T, X, C0, R_max)
     summary = {
         "T": report.T,
         "X": report.X,

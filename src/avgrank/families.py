@@ -21,12 +21,13 @@ the twists and the cache sweep, and rv[:, None], sv for a grid, where
 rank_bound_terms takes each U1 / U2 term on the whole rectangle, cuts to
 the kept cells once at the end and forms the rank bound.  The gather
 folds the row sign into its table (chi(k) = chi(r) for k = r^3 s^-2), so
-a grid cell costs one gather and one multiply.  rank_bound_terms (and
-moments.V_family) add each curve's prime terms with += one prime at a
-time in increasing p; the sums over curves and over a row's terms (S_T,
-the weighted averages, fsum_rows, lemma2_lhs and the scalar U1, U2) use
-math.fsum.  Both orders are fixed, so repeated runs are bit-identical;
-the scalar U1, U2 and rank_bound remain as oracles.
+a grid cell costs one gather and one multiply.  prime_sums adds each
+curve's prime terms with += from 0.0 in increasing p for every family,
+and the scalar oracles U1, U2 and moments.V add theirs the same way, so
+each engine row equals its oracle bit for bit (the error of such a sum:
+N. J. Higham, SIAM J. Sci. Comput. 14 (1993)).  Sums over curves (S_T,
+the weighted averages, lemma2_lhs) use math.fsum.  Both orders are
+fixed, so repeated runs are bit-identical.
 
 The conductor surrogate of a grid comes from a root sieve (the line
 sieve of C. Pomerance, "The quadratic sieve factoring algorithm",
@@ -70,8 +71,8 @@ __all__ = [
     "U2",
     "rank_bound",
     "prime_terms",
+    "prime_sums",
     "rank_bound_terms",
-    "fsum_rows",
     "average_rank_experiment",
     "lemma2_lhs",
 ]
@@ -236,35 +237,31 @@ def S_T(params: FamilyParams) -> float:
 
 
 def U1(curve: Curve, X: float, primes: list[int]) -> float:
-    """-sum_{5 <= p <= X} (log p / p) h_X(log p) a_p(E); primes must reach X."""
-    if X < 5:
-        return 0.0
-    terms = [-(math.log(p) / p) * h_X(math.log(p), X) * ap(curve, p).ap for p in primes if 5 <= p <= X]
-    return math.fsum(terms)
+    """-sum_{5 <= p <= X} (log p / p) h_X(log p) a_p(E), in increasing p; primes must reach X."""
+    total = 0.0
+    for p in primes:
+        if 5 <= p <= X:
+            total += -(math.log(p) / p) * h_X(math.log(p), X) * ap(curve, p).ap
+    return total
 
 
 def U2(curve: Curve, X: float, primes: list[int]) -> float:
-    """sum_{p^2 <= X, p >= 5} c_{p^2}(E) (2 log p) h_X(2 log p); primes must reach sqrt(X)."""
-    if X < 25:
-        return 0.0
-    root = math.sqrt(X)
-    terms = [
-        c_pk(ap(curve, p), 2) * 2 * math.log(p) * h_X(2 * math.log(p), X) for p in primes if 5 <= p <= root
-    ]
-    return math.fsum(terms)
+    """sum_{p >= 5, p^2 <= X} c_{p^2}(E) 2 log p h_X(2 log p), in increasing p; primes must reach sqrt(X)."""
+    total = 0.0
+    for p in primes:
+        if p >= 5 and p * p <= X:
+            total += c_pk(ap(curve, p), 2) * 2 * math.log(p) * h_X(2 * math.log(p), X)
+    return total
 
 
 def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: list[int] | None = None) -> float:
-    """log(N_surrogate)/log X + (2/log X)(U1 + U2) + C0/log X; primes, if given, must reach X."""
+    """log(N_surrogate)/log X + (2/log X) U1 + (2/log X) U2 + C0/log X; primes, if given, must reach X."""
     if primes is None:
         primes = sieve_primes(int(X))
     logX = math.log(X)
     n = conductor_surrogate(curve)
-    return (
-        math.log(n) / logX
-        + (2.0 / logX) * (U1(curve, X, primes) + U2(curve, X, primes))
-        + C0 / logX
-    )
+    u1, u2 = U1(curve, X, primes), U2(curve, X, primes)
+    return math.log(n) / logX + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
 
 
 def prime_terms(
@@ -297,32 +294,33 @@ def prime_terms(
         yield p, t1, t2
 
 
+def prime_sums(R: np.ndarray, S: np.ndarray, X: float, lo: int = 5) -> tuple[np.ndarray, np.ndarray]:
+    """(U1, U2) arrays of the broadcast shape of R and S: each prime_terms
+    yield added with += from 0.0 in increasing p, so memory is O(curves)
+    and each element equals the scalar U1 / U2 (lo = 5) bit for bit."""
+    u1 = np.zeros(np.broadcast_shapes(np.shape(R), np.shape(S)))
+    u2 = np.zeros(u1.shape)
+    for _, t1, t2 in prime_terms(R, S, X, lo):
+        u1 += t1
+        if t2 is not None:
+            u2 += t2
+    return u1, u2
+
+
 def rank_bound_terms(
     grid: BoxGrid, X: float, C0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(log N_surrogate / log X, U1, U2, bound) arrays over grid.cells(),
-    batched per prime, with bound = log N / log X + (2 / log X) U1 +
-    (2 / log X) U2 + C0 / log X.
+    with bound = log N / log X + (2 / log X) U1 + (2 / log X) U2 + C0 / log X.
 
-    The prime sums accumulate in increasing p, one rectangle update per
-    prime, and are cut to the kept cells once at the end.
+    The prime sums run on the whole rectangle and are cut to the kept
+    cells once at the end.
     """
-    rv, sv = grid.rv[:, None], grid.sv
-    u1 = np.zeros(grid.keep.shape)
-    u2 = np.zeros(grid.keep.shape)
-    for _, t1, t2 in prime_terms(rv, sv, X):
-        u1 += t1
-        if t2 is not None:
-            u2 += t2
+    u1, u2 = prime_sums(grid.rv[:, None], grid.sv, X)
     u1, u2 = u1[grid.keep], u2[grid.keep]
     logX = math.log(X)
     logn_term = _conductor_grid(grid) / logX
     return logn_term, u1, u2, logn_term + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
-
-
-def fsum_rows(cols: list[np.ndarray], n: int) -> list[float]:
-    """math.fsum across the columns for each of n rows (0.0 with no columns)."""
-    return [math.fsum(row) for row in np.reshape(cols, (len(cols), n)).T.tolist()]
 
 
 def _strip_2_3(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

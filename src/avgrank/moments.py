@@ -17,7 +17,7 @@ import numpy as np
 
 from .arith import sieve_primes
 from .curves import Curve, sigma_p
-from .families import _box, int_root, prime_terms, rank_bound_terms
+from .families import _box, int_root, prime_sums, rank_bound_terms
 from .weights import h_X
 
 __all__ = [
@@ -43,23 +43,21 @@ class TermType(Enum):
 
 
 def V(curve: Curve, X: float, primes: list[int]) -> float:
-    """sum_{100 < p <= X} (log p / p) h_X(log p) sigma_p(E); primes must reach X."""
+    """sum_{100 < p <= X} (log p / p) h_X(log p) sigma_p(E), in increasing p; primes must reach X."""
     if curve.singular:
         raise ValueError("V requires Delta != 0")
-    terms = [
-        (math.log(p) / p) * h_X(math.log(p), X) * sigma_p(curve.r, curve.s, p) for p in primes if 101 <= p <= X
-    ]
-    return math.fsum(terms)
+    total = 0.0
+    for p in primes:
+        if 101 <= p <= X:
+            total += (math.log(p) / p) * h_X(math.log(p), X) * sigma_p(curve.r, curve.s, p)
+    return total
 
 
 def V_family(T: float, X: float) -> np.ndarray:
-    """V(E, X) for every curve of D(T), in row-major (r, s) order: minus the
-    U1 terms of prime_terms over 100 < p <= X (negation is exact)."""
+    """V(E, X) for every curve of D(T), in row-major (r, s) order: 0.0 minus the U1 sums of
+    prime_sums over 100 < p <= X, which is V bit for bit (0.0 - u, unlike -u, keeps a zero +0.0)."""
     grid = _box(T, minimal_only=False)
-    out = np.zeros(grid.keep.shape)
-    for _, t1, _ in prime_terms(grid.rv[:, None], grid.sv, X, lo=101):
-        out -= t1
-    return out[grid.keep]
+    return 0.0 - prime_sums(grid.rv[:, None], grid.sv, X, lo=101)[0][grid.keep]
 
 
 def moment_2k(T: float, X: float, k: int) -> float:

@@ -9,10 +9,10 @@ experiment takes the rows of nonzero weight from every support of a
 command and reduces all of them to their minimal
 models in one array pass, with d and the conductor surrogate read off the
 one factorisation of the base discriminant and the residues of D.  The
-prime sums of all minimal twists then come from one families.prime_terms
-pass, the batch route of the box family, on Python-int arrays; each
-curve's U1 and U2 are the math.fsum of its row of terms, exactly as the
-scalar U1 / U2 sum them.  Each root-number class is a mask of the rows,
+prime sums of all minimal twists then come from one families.prime_sums
+pass, the batch route of the box family, on Python-int arrays, so each
+curve's U1 and U2 equal the scalar U1 / U2 bit for bit and memory stays
+O(rows).  Each root-number class is a mask of the rows,
 summed once, and the class triples are read off the kept D.
 The traces are those of the minimal models, not chi_D(p) a_p(E): the two
 differ when p | D and star_map divides p out of the twist.  The scalar
@@ -41,7 +41,7 @@ from .arith import (
     sieve_primes,
 )
 from .curves import Curve, _valuation, discriminant, sigma_p
-from .families import _wavg, fsum_rows, prime_terms
+from .families import _wavg, prime_sums
 from .weights import QuadratureError, SmoothWeight, fourier_numeric
 
 __all__ = [
@@ -295,7 +295,7 @@ def twist_average_experiment(
     root number.  One twist_batch per support gives the admissible D; the
     rows of nonzero weight from all supports are reduced to their minimal
     models in one array pass, one factorisation of Delta_E, and their prime
-    sums taken in one prime_terms pass, all twists at once per prime.  The
+    sums taken in one prime_sums pass, all twists at once per prime.  The
     conductor surrogate takes the known prime divisors of D and of Delta_E.
 
     Each D has one sign, so each root-number class is a mask of the rows:
@@ -327,12 +327,10 @@ def twist_average_experiment(
     sign = w * rows.twist_sign[keep]
     # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
     R, S, _, cond = _minimal_twists(base, D)
-    terms = list(prime_terms(R, S, X)) if len(D) else []
-    u1a = np.asarray(fsum_rows([t1 for _, t1, _ in terms], len(D)))
-    u2a = np.asarray(fsum_rows([t2 for _, _, t2 in terms if t2 is not None], len(D)))
+    u1a, u2a = prime_sums(R, S, X) if len(D) else (np.zeros(0), np.zeros(0))
     logX = math.log(X)
     lt = np.array([math.log(n) for n in cond.tolist()]) / logX
-    bound = lt + (2.0 / logX) * (u1a + u2a) + C0 / logX
+    bound = lt + (2.0 / logX) * u1a + (2.0 / logX) * u2a + C0 / logX
     W, avg_bound = {}, {}
     for s in (1, -1):
         m = sign == s

@@ -280,9 +280,10 @@ def test_u1_sweep_cache_hits_and_misses():
 
 
 def test_u1_sweep_cache_matches_scalar_reference():
-    # per curve, fsum of -(log p / p) h_X(log p) a, where a is the cached
-    # a_p when a record holds it and sigma_p otherwise; random halves of the
-    # records with random sign flips, so hits and misses interleave
+    # per curve, the sum from 0.0 in increasing p of -(log p / p) h_X(log p) a,
+    # where a is the cached a_p when a record holds it and sigma_p otherwise;
+    # random halves of the records with random sign flips, so hits and
+    # misses interleave
     T, X = 300.0, 40.0
     ps = sieve_primes(int(X), 5)
     curves = list(enumerate_C(T))
@@ -293,9 +294,12 @@ def test_u1_sweep_cache_matches_scalar_reference():
         rec = full[rng.random(len(full)) < 0.5]
         rec[rng.random(len(rec)) < 0.5, 3] *= -1
         a = {**traces, **{(r, s, p): v for r, s, p, v in rec.tolist()}}
-        want = [
-            math.fsum(-(math.log(p) / p) * h_X(math.log(p), X) * a[c.r, c.s, p] for p in ps) for c in curves
-        ]
+        want = []
+        for c in curves:
+            total = 0.0
+            for p in ps:
+                total += -(math.log(p) / p) * h_X(math.log(p), X) * a[c.r, c.s, p]
+            want.append(total)
         assert u1_sweep(T, X, cache=ApCache(records=rec)) == want
 
 
@@ -551,12 +555,56 @@ def test_cli_cache_build_T_below_1_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd", ["density", "cache build"])
 def test_cli_sieve_beyond_memory_exits_2_before_writing(tmp_path, capsys, monkeypatch, cmd):
-    # 64 KiB of physical memory: the box passes, the sieve to 2e4 is refused
-    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 16}.__getitem__)
-    rc = run_cli(_argv(cmd, tmp_path, "--X", "2e4"))
+    # the box passes and the sieve is refused.  cache build: 64 KiB of
+    # physical memory and the sieve to 2e4.  density: X <= T^(5/6) keeps the
+    # box (checked first) above the sieve but at tiny X; at T = 4 the box
+    # needs 120 bytes and the sieve to 3 needs 175, so 150 bytes lie between
+    memory, flags, limit = {
+        "density": (150, ("--T", "4", "--X", "3"), 3),
+        "cache build": (2**16, ("--X", "2e4"), 20000),
+    }[cmd]
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.__getitem__)
+    rc = run_cli(_argv(cmd, tmp_path, *flags))
     assert rc == 2
-    assert "the prime sieve to 20000 needs" in _one_error_line(capsys)
+    assert f"the prime sieve to {limit} needs" in _one_error_line(capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_density_X_above_T_5_6_exits_2_before_sieving(tmp_path):
+    # average-rank's bound X <= T^(5/6): without it this sieves to 1e5 and
+    # builds a class table per prime, minutes of work, so a child process
+    # that still runs it meets the timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "avgrank.cli", *_argv("density", tmp_path, "--T", "100", "--X", "1e5")]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path, env=env, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: density requires X <= T^(5/6)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# A launcher that loads nothing but os: posix_spawn's child counts the
+# launcher's size at exec in its ru_maxrss, so the reading is the CLI's own.
+_MAXRSS_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_cli_twists_memory_is_linear_in_rows(tmp_path):
+    # 6,056 rows x 428 primes: kept as one column per prime, every term of
+    # every row (180 MB peak RSS); added prime by prime, O(rows) (39 MB)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [
+        sys.executable, "-S", "-c", _MAXRSS_LAUNCHER, "-m", "avgrank.cli", "twists",
+        "--r", "-2", "--s", "3", "--N", "389", "--w", "-1", "--T", "2e4", "--X", "3000",
+        "--out-csv", str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json"),
+    ]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    rc, maxrss_kb = map(int, proc.stdout.split())
+    assert rc == 0, proc.stderr
+    assert maxrss_kb < 100 * 1024, maxrss_kb
 
 
 def test_cli_cache_build_beyond_memory_exits_2_before_writing(tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from avgrank.families import (
     enumerate_D,
     int_root,
     lemma2_lhs,
+    prime_sums,
     prime_terms,
     rank_bound,
     weight_wT,
@@ -175,6 +176,22 @@ def test_prime_terms_int64_and_object_arrays_agree():
     assert sum(t2 is not None for _, _, t2 in fast) == len(sieve_primes(int(math.sqrt(X)), 5))
 
 
+def test_prime_sums_equal_the_scalar_U1_U2_on_every_curve():
+    # += in increasing p from 0.0, as the scalar oracles add: equal, not close,
+    # on the grid and on the flat cells; X = 11^2 puts p = 11 on U2's edge
+    T, X = 300.0, 121.0
+    grid = _box(T)
+    R, S = grid.cells()
+    u1, u2 = prime_sums(R, S, X)
+    g1, g2 = prime_sums(grid.rv[:, None], grid.sv, X)
+    assert u1.shape == u2.shape == R.shape and g1.shape == g2.shape == grid.keep.shape
+    assert np.array_equal(g1[grid.keep], u1) and np.array_equal(g2[grid.keep], u2)
+    primes = sieve_primes(int(X))
+    for i, (r, s) in enumerate(zip(R.tolist(), S.tolist())):
+        assert u1[i] == U1(Curve(r, s), X, primes)
+        assert u2[i] == U2(Curve(r, s), X, primes)
+
+
 def _sieve_cases(R, S):
     """Rows with exponent 2 at some p >= 5, and rows whose rest after 2 and 3
     has a prime factor above the trial bound, among the first 400 rows."""
@@ -247,6 +264,8 @@ def test_U2_single_term_hand_value():
     want = 0.12 * 2 * math.log(5) * h_X(2 * math.log(5), 30.0)
     assert abs(U2(cur, 30.0, primes) - want) < 1e-12
     assert U2(cur, 24.0, primes) == 0.0
+    # p^2 <= X, as in prime_terms: sqrt of the float below 25 rounds to 5.0
+    assert U2(cur, math.nextafter(25.0, 0.0), primes) == 0.0
 
 
 def test_rank_bound_assembly():
@@ -255,10 +274,11 @@ def test_rank_bound_assembly():
     primes = sieve_primes(100)
     manual = (
         math.log(conductor_surrogate(cur)) / math.log(X)
-        + (2.0 / math.log(X)) * (U1(cur, X, primes) + U2(cur, X, primes))
+        + (2.0 / math.log(X)) * U1(cur, X, primes)
+        + (2.0 / math.log(X)) * U2(cur, X, primes)
     )
-    assert abs(rank_bound(cur, X) - manual) < 1e-12
-    assert abs(rank_bound(cur, X, C0=3.0) - manual - 3.0 / math.log(X)) < 1e-12
+    assert rank_bound(cur, X) == manual
+    assert rank_bound(cur, X, C0=3.0) == manual + 3.0 / math.log(X)
 
 
 def test_average_rank_experiment_consistency():
@@ -271,8 +291,8 @@ def test_average_rank_experiment_consistency():
     # spot-check five curves against the scalar path
     for i in range(0, len(rep.r), max(1, len(rep.r) // 5)):
         cur = Curve(int(rep.r[i]), int(rep.s[i]))
-        assert abs(rep.U1_term[i] - (2 / logX) * U1(cur, X, primes)) < 1e-10
-        assert abs(rep.U2_term[i] - (2 / logX) * U2(cur, X, primes)) < 1e-10
+        assert rep.U1_term[i] == (2 / logX) * U1(cur, X, primes)
+        assert rep.U2_term[i] == (2 / logX) * U2(cur, X, primes)
         assert abs(rep.logN_term[i] - math.log(conductor_surrogate(cur)) / logX) < 1e-10
         assert abs(rep.bound[i] - rank_bound(cur, X, 0.0, primes)) < 1e-10
     # weighted averages recompute

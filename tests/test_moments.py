@@ -60,7 +60,9 @@ def test_V_family_matches_scalar():
     curves = list(enumerate_D(T))
     assert len(vals) == len(curves)
     for i in range(0, len(curves), 37):
-        assert abs(vals[i] - V(curves[i], X, primes)) < 1e-12
+        want = V(curves[i], X, primes)
+        # bit for bit, the sign of a zero included
+        assert vals[i] == want and math.copysign(1.0, vals[i]) == math.copysign(1.0, want)
 
 
 def test_V_family_equals_the_direct_rectangle_sum():

@@ -14,7 +14,7 @@ from avgrank.arith import (
 )
 from avgrank.cli import main
 from avgrank.curves import Curve, conductor_surrogate, discriminant, sigma_p, star_map
-from avgrank.families import U1, U2
+from avgrank.families import U1, U2, rank_bound
 from avgrank.twists import (
     IdentityViolatedError,
     _kronecker_array,
@@ -244,7 +244,7 @@ def test_twist_average_experiment_smoke():
         assert signs == [1]
 
 
-def test_twist_average_experiment_empty():
+def test_twist_average_experiment_empty(monkeypatch):
     # an empty batch, and a non-empty batch whose minus class is empty: at
     # N = 49 every D of the positive support has sign +1
     for weight, T, X in ((bump(0.97, 0.99), 20.0, 10.0), (bump(0.5, 1.0), 4000.0, 200.0)):
@@ -252,7 +252,11 @@ def test_twist_average_experiment_empty():
         assert rep.W[-1] == 0.0 and math.isnan(rep.avg_bound[-1])
         assert all(signs == [1] for signs in rep.class_sign_map.values())
     assert len(rep.D) > 0 and rep.W[1] > 0 and math.isfinite(rep.avg_bound[1])
+    # an empty family takes no prime sums, so it sieves nothing
+    calls = []
+    monkeypatch.setattr(twists, "prime_sums", lambda *args: calls.append(args))
     rep = twist_average_experiment(Curve(1, 1), 49, 1, (bump(0.97, 0.99),), 20.0, 10.0)
+    assert calls == []
     for a in (rep.D, rep.sign):
         assert a.dtype == np.int64 and a.shape == (0,)
     for a in (rep.weight, rep.logN_term, rep.U1_raw, rep.U2_raw, rep.bound):
@@ -284,6 +288,7 @@ def test_twist_average_matches_scalar_oracles(r, s, N):
         assert rep.U2_raw[i] == U2(minimal, X, primes)
         n = conductor_surrogate(minimal)
         assert rep.logN_term[i] == math.log(n) / logX
+        assert rep.bound[i] == rank_bound(minimal, X, 0.0, primes)
     # an odd-square or unit N leaves one sign class per weight, and it can be empty
     assert set(rep.sign.tolist()) == {1, -1}
     assert seen_big

@@ -60,6 +60,11 @@ LADDER = {
         "twists --r 1 --s 1 --N 49 --w 1 --T 2e4 --X 300 "
         "--out-csv {out}/twists.csv --out-json {out}/twists.json"
     ),
+    # 5,308 rows x 428 primes: the twists' memory, which must stay O(rows) as X grows
+    "twists 2e4 3000": (
+        "twists --r 1 --s 1 --N 49 --w 1 --T 2e4 --X 3000 "
+        "--out-csv {out}/twists.csv --out-json {out}/twists.json"
+    ),
     # 26,567 CSV rows: the CSV writer at scale
     "twists 1e5 100": (
         "twists --r 1 --s 1 --N 49 --w 1 --T 1e5 --X 100 "
