@@ -93,23 +93,24 @@ def cache_build(T: float, X: float) -> ApCache:
     ps = sieve_primes(int(X), 5)
     grid = _box(T)
     R, S = grid.cells()
-    # 8 bytes of traces and 32 of records for each (curve, prime)
-    _check_memory(40 * len(R) * len(ps), f"the a_p cache of {len(R)} curves and {len(ps)} primes")
-    traces = np.empty((len(R), len(ps)), dtype=np.int64)
+    _check_memory(_RECORD * len(R) * len(ps), f"the a_p cache of {len(R)} curves and {len(ps)} primes")
+    # one record per (curve, prime), filled in place in file order
+    rec = np.empty((len(R), len(ps), 4), dtype=np.int64)
+    rec[:, :, 0] = R[:, None]
+    rec[:, :, 1] = S[:, None]
+    rec[:, :, 2] = ps
     for j, p in enumerate(ps):
-        traces[:, j] = sigma_p_batch(grid.rv[:, None], grid.sv, p)[grid.keep]
-    n = len(ps)
-    arr = np.column_stack(
-        (np.repeat(R, n), np.repeat(S, n), np.tile(np.asarray(ps, dtype=np.int64), len(R)), traces.ravel())
-    )
-    return ApCache(records=arr)
+        rec[:, j, 3] = sigma_p_batch(grid.rv[:, None], grid.sv, p)[grid.keep]
+    return ApCache(records=rec.reshape(-1, 4))
 
 
 def cache_save(cache: ApCache, path: str | Path) -> None:
+    import numpy as np
+
     path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, len(cache)))
-        fh.write(cache.records.astype("<i8", copy=False).tobytes())
+        fh.write(np.ascontiguousarray(cache.records, dtype="<i8"))
 
 
 def _check_header(path: Path, head: bytes, size: int) -> int:

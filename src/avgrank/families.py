@@ -34,9 +34,9 @@ sieve of C. Pomerance, "The quadratic sieve factoring algorithm",
 EUROCRYPT 1984): for p >= 5, p | Delta exactly when
 -4 r^3 = 27 s^2 (mod p), so sorting the column residues 27 s^2 and
 searching the row residues -4 r^3 in them finds every cell p divides,
-and only those are divided.  Primes run in ascending order with the
-operands of the trial-division oracle _conductor_batch, so the two agree
-bit for bit.
+and only those are divided.  Primes run in ascending order, and the
+trial-division oracle _conductor_batch charges each prime through the
+same helper, _charge, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -318,28 +318,42 @@ def rank_bound_terms(
     """
     u1, u2 = prime_sums(grid.rv[:, None], grid.sv, X)
     u1, u2 = u1[grid.keep], u2[grid.keep]
+    logn_term = _conductor_grid(grid) / math.log(X)
+    return logn_term, u1, u2, _bound(logn_term, u1, u2, X, C0)
+
+
+def _bound(logn_term: np.ndarray, u1: np.ndarray, u2: np.ndarray, X: float, C0: float) -> np.ndarray:
+    """The rank bound of every family: logn_term + (2 / log X) U1 + (2 / log X) U2 + C0 / log X."""
     logX = math.log(X)
-    logn_term = _conductor_grid(grid) / logX
-    return logn_term, u1, u2, logn_term + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
+    return logn_term + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
 
 
 def _strip_2_3(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|delta| without its factors 2 and 3, and log of the 2^8 3^5 part of N."""
-    rem = np.abs(delta.copy())
+    """|delta| without its factors 2 and 3, and log of the 2^8 3^5 part of N.
+
+    Every delta must be nonzero and below 2^63 in absolute value, so the
+    lowest set bit of |delta| is its whole power of 2.
+    """
+    if not delta.all():
+        raise ValueError("the conductor surrogate needs a nonzero discriminant")
+    rem = np.abs(delta)
+    rem //= rem & -rem
     logn = np.full(len(delta), 8 * math.log(2))
-    for _ in range(64):
-        m = rem % 2 == 0
-        if not m.any():
-            break
-        rem[m] //= 2
-    three = delta % 3 == 0
-    logn[three] += 5 * math.log(3)
-    for _ in range(64):
-        m = rem % 3 == 0
-        if not m.any():
-            break
+    logn[delta % 3 == 0] += 5 * math.log(3)
+    while (m := rem % 3 == 0).any():
         rem[m] //= 3
     return rem, logn
+
+
+def _charge(R: np.ndarray, rem: np.ndarray, logn: np.ndarray, m: np.ndarray, p: int) -> None:
+    """Charge p at the cells m, the indices of the cells p divides: add
+    f_p log p to logn (f_p = 2 when p | r, else 1), then divide p out of rem."""
+    if not len(m):
+        return  # most primes divide no cell; numpy ops on empty arrays still cost
+    logn[m] += np.where(R[m] % p != 0, 1.0, 2.0) * math.log(p)
+    while len(m):
+        rem[m] //= p
+        m = m[rem[m] % p == 0]
 
 
 def _add_leftover(R: np.ndarray, rem: np.ndarray, logn: np.ndarray) -> np.ndarray:
@@ -356,16 +370,7 @@ def _conductor_batch(R: np.ndarray, delta: np.ndarray) -> np.ndarray:
     rem, logn = _strip_2_3(delta)
     top = int(rem.max()) if len(rem) else 1
     for p in sieve_primes(math.isqrt(top), 5):
-        m = rem % p == 0
-        if not m.any():
-            continue
-        exp = np.where(R[m] % p != 0, 1.0, 2.0)
-        logn[m] += exp * math.log(p)
-        while True:
-            mm = rem % p == 0
-            if not mm.any():
-                break
-            rem[mm] //= p
+        _charge(R, rem, logn, np.flatnonzero(rem % p == 0), p)
     return _add_leftover(R, rem, logn)
 
 
@@ -401,14 +406,7 @@ def _conductor_grid(grid: BoxGrid) -> np.ndarray:
         j = order[np.arange(hits) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)]
         m = row[i * ns + j]
         m = m[m >= 0]  # singular and filtered-out cells are not members
-        m = m[rem[m] % p == 0]  # exact roots always pass; keeps rem > 0
-        if not len(m):
-            continue
-        exp = np.where(R[m] % p != 0, 1.0, 2.0)
-        logn[m] += exp * math.log(p)
-        while len(m):
-            rem[m] //= p
-            m = m[rem[m] % p == 0]
+        _charge(R, rem, logn, m[rem[m] % p == 0], p)  # exact roots always pass; keeps rem > 0
     return _add_leftover(R, rem, logn)
 
 

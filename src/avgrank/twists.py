@@ -41,7 +41,7 @@ from .arith import (
     sieve_primes,
 )
 from .curves import Curve, _valuation, discriminant, sigma_p
-from .families import _wavg, prime_sums
+from .families import _bound, _wavg, prime_sums
 from .weights import QuadratureError, SmoothWeight, fourier_numeric
 
 __all__ = [
@@ -328,9 +328,8 @@ def twist_average_experiment(
     # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
     R, S, _, cond = _minimal_twists(base, D)
     u1a, u2a = prime_sums(R, S, X) if len(D) else (np.zeros(0), np.zeros(0))
-    logX = math.log(X)
-    lt = np.array([math.log(n) for n in cond.tolist()]) / logX
-    bound = lt + (2.0 / logX) * u1a + (2.0 / logX) * u2a + C0 / logX
+    lt = np.array([math.log(n) for n in cond.tolist()]) / math.log(X)
+    bound = _bound(lt, u1a, u2a, X, C0)
     W, avg_bound = {}, {}
     for s in (1, -1):
         m = sign == s

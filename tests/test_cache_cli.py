@@ -609,7 +609,7 @@ def test_cli_twists_memory_is_linear_in_rows(tmp_path):
 
 def test_cli_cache_build_beyond_memory_exits_2_before_writing(tmp_path, capsys, monkeypatch):
     # 1 MiB of physical memory: the sieve to 200 and the box at T = 1e3
-    # pass, the ~1300 x 44 records of 40 bytes each are refused
+    # pass, the ~1300 x 44 records of 32 bytes each are refused
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
     rc = run_cli(["cache", "build", "--T", "1e3", "--X", "200", "--out", str(tmp_path / "c.apcache")])
     assert rc == 2

@@ -1,10 +1,14 @@
 import math
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from avgrank import families
 from avgrank.arith import factorize, sieve_primes
 from avgrank.curves import Curve, ap, c_pk, conductor_surrogate, discriminant, is_minimal, sigma_p
 from avgrank.families import (
@@ -242,6 +246,45 @@ def test_root_sieve_thin_grid_at_T_1e12_matches_scalar_surrogate():
     assert np.allclose(got, want, rtol=1e-14, atol=0)
     exp2, left = _sieve_cases(R, S)
     assert exp2 > 0 and left > 0
+
+
+def _strip_2_3_scalar(d: int) -> tuple[int, float]:
+    n = abs(d)
+    while n % 2 == 0:
+        n //= 2
+    while n % 3 == 0:
+        n //= 3
+    return n, 8 * math.log(2) + (5 * math.log(3) if d % 3 == 0 else 0.0)
+
+
+def test_strip_2_3_matches_scalar_loop_on_large_powers():
+    # powers of 2 and 3 as large as |delta| < 2^63 allows, and 3^39 with no 2 at all
+    q = 1009
+    deltas = [2**62, 2**40 * 3**12 * 11, 2**20 * 3**20 * q, 3**39, 2**19 * 3**12, 1, 2, 3, 6, 5 * 7, q]
+    deltas += [-d for d in deltas]
+    assert max(deltas) < 2**63
+    rem, logn = _strip_2_3(np.array(deltas, dtype=np.int64))
+    assert rem.tolist() == [_strip_2_3_scalar(d)[0] for d in deltas]
+    assert logn.tolist() == [_strip_2_3_scalar(d)[1] for d in deltas]
+    with pytest.raises(ValueError, match="nonzero discriminant"):
+        _strip_2_3(np.array([5, 0], dtype=np.int64))
+
+
+def test_conductor_batch_rejects_a_zero_discriminant():
+    # 0 % p == 0 at every p: trial division that admitted a zero would never end,
+    # so the call runs in a child process that a hang would time out
+    code = (
+        "import numpy as np\n"
+        "from avgrank.families import _conductor_batch\n"
+        "try:\n"
+        "    _conductor_batch(np.array([3, 0]), np.array([10**12 + 39, 0]))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(families.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "the conductor surrogate needs a nonzero discriminant\n"
 
 
 def test_U1_two_term_hand_value():
