@@ -49,7 +49,6 @@ _EXPORTS = {
         "enumerate_C",
         "enumerate_D",
         "prime_sums",
-        "prime_terms",
         "rank_bound",
         "rank_bound_terms",
         "weight_wT",

@@ -17,12 +17,13 @@ of _BLOCK, compares consecutive (r, s, p) key tuples, carrying the last key
 from one block to the next, and checks the Hasse bound in exact integers.
 cache_check streams the file through it in bounded memory and loads no
 numpy; cache_load runs it over the whole body and then builds the array.
-cache_build and u1_sweep import the trace engine when they run.
+cache_build imports the trace engine when it runs.  The file is an export
+format of the traces: no command reads its a_p back into a prime sum,
+since recomputing them is faster.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 import struct
@@ -46,7 +47,6 @@ __all__ = [
     "cache_save",
     "cache_check",
     "cache_load",
-    "u1_sweep",
 ]
 
 MAGIC = b"APCACHE1"
@@ -63,8 +63,8 @@ class CorruptCacheError(RuntimeError):
 class ApCache:
     """In-memory view of a cache: a sorted (n, 4) int64 array of (r, s, p, a_p).
 
-    The records must be strictly sorted by (r, s, p), as in a file: u1_sweep
-    joins them by searchsorted, which unsorted keys would silently miss.
+    The records must be strictly sorted by (r, s, p), as in a file, so
+    that cache_save never writes a file that cache_check rejects.
     """
 
     __slots__ = ("records",)
@@ -199,38 +199,3 @@ def cache_load(path: str | Path) -> ApCache:
 
     rec = np.frombuffer(raw, dtype="<i8", offset=_HEADER.size).astype(np.int64).reshape(count, 4)
     return ApCache(records=rec)
-
-
-def u1_sweep(T: float, X: float, cache: ApCache | None = None) -> list[float]:
-    """U1 for every curve of C(T), optionally served from a cache.
-
-    The terms come from families.prime_terms over C(T), added with += in
-    increasing p, so each value equals the scalar U1 exactly.  The cache's
-    records are joined to the (curve, prime) keys by one searchsorted per
-    prime: a hit replaces the engine's trace, a miss (or no cache) keeps the engine's.
-    """
-    import numpy as np
-
-    from .arith import sieve_primes
-    from .families import _box, int_root, prime_terms
-    from .weights import h_X
-
-    R, S = _box(T).cells()
-    ps = np.asarray(sieve_primes(int(X), 5), dtype=np.int64)
-    rmax, smax, P = int_root(T, 3), int_root(T, 2), len(ps)
-    width = 2 * smax + 1
-    # key = cell * P + prime index with cell = (r + rmax) * width + s + smax: strictly increasing, as
-    # the records are sorted by (r, s, p), and below the sentinel (box cells) * P, which fits int64
-    # as it is close to the number of terms summed.  Two-sided compares: abs wraps at r = -2^63.
-    r, s, p, a = (np.empty((0, 4), dtype=np.int64) if cache is None else cache.records).T
-    idx = ps.searchsorted(p)
-    m = (-rmax <= r) & (r <= rmax) & (-smax <= s) & (s <= smax) & (idx < P)
-    m[m] = ps[idx[m]] == p[m]
-    keys = np.append(((r[m] + rmax) * width + s[m] + smax) * P + idx[m], (2 * rmax + 1) * width * P)
-    a, cells = np.append(a[m], 0), ((R + rmax) * width + S + smax) * P
-    u1 = np.zeros(len(R))
-    for j, (p, t1, _) in enumerate(prime_terms(R, S, X)):
-        pos = keys.searchsorted(cells + j)
-        coef = -(math.log(p) / p) * h_X(math.log(p), X)
-        u1 += np.where(keys[pos] == cells + j, coef * a[pos], t1)
-    return u1.tolist()

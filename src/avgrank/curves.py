@@ -214,10 +214,10 @@ def _class_tables(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def sigma_p_batch(r: np.ndarray, s: np.ndarray, p: int) -> np.ndarray:
     """sigma_p for many curves at once, gathered from the class tables.
 
-    r and s are integer arrays that fit int64 (prime_terms reduces
-    Python-int arrays mod p first) and broadcast: flat pairs, or
-    rv[:, None] and sv for a product grid.  A
-    cell with r s != 0 (mod p) reads chi(k) a_p(k, k) chi(s) with
+    r and s are int64 arrays that broadcast: flat pairs, or rv[:, None]
+    and sv for a product grid (a caller with Python-int coefficients
+    reduces them mod p first).  A cell with r s != 0 (mod p) reads
+    chi(k) a_p(k, k) chi(s) with
     k = r^3 s^-2 mod p (see the module docstring); a cell with r = 0 or
     s = 0 (mod p) reads a_p(0, s) or a_p(r, 0).  Each prime costs the
     O(p log p) tables once (cached) plus O(N log p) array passes, where

@@ -13,21 +13,22 @@ report carries a caveat line saying so.
 Box families are held as product grids (BoxGrid): row values rv, column
 values sv and a boolean keep mask over rv x sv for the singularity,
 minimality and weight-support filters; cells() gives the same family as
-flat row-major arrays.  prime_terms, the one per-prime term route of U1,
-U2 and the moments' V, sieves its own primes up to X, needs only the
+flat row-major arrays.  prime_sums, the one per-prime route of U1, U2
+and the moments' V, sieves its own primes up to X, needs only the int64
 coefficients and reads p | Delta off their residues.  They broadcast
-like those of curves.sigma_p_batch, the one trace gather: flat pairs for
-the twists and the cache sweep, and rv[:, None], sv for a grid, where
-rank_bound_terms takes each U1 / U2 term on the whole rectangle, cuts to
-the kept cells once at the end and forms the rank bound.  The gather
-folds the row sign into its table (chi(k) = chi(r) for k = r^3 s^-2), so
-a grid cell costs one gather and one multiply.  prime_sums adds each
-curve's prime terms with += from 0.0 in increasing p for every family,
-and the scalar oracles U1, U2 and moments.V add theirs the same way, so
-each engine row equals its oracle bit for bit (the error of such a sum:
-N. J. Higham, SIAM J. Sci. Comput. 14 (1993)).  Sums over curves (S_T,
-the weighted averages, lemma2_lhs) use math.fsum.  Both orders are
-fixed, so repeated runs are bit-identical.
+like those of curves.sigma_p_batch, the one trace gather: flat pairs, or
+rv[:, None], sv for a grid, where rank_bound_terms takes the prime sums
+on the whole rectangle, cuts to the kept cells once at the end and forms
+the rank bound.  The gather folds the row sign into its table
+(chi(k) = chi(r) for k = r^3 s^-2), so a grid cell costs one gather and
+one multiply.  _add_terms holds the term formula of one prime; the
+twists call it too, on their own traces.  Each curve's prime terms are
+added with += from 0.0 in increasing p for every family, and the scalar
+oracles U1, U2 and moments.V add theirs the same way, so each engine row
+equals its oracle bit for bit (the error of such a sum: N. J. Higham,
+SIAM J. Sci. Comput. 14 (1993)).  Sums over curves (S_T, the weighted
+averages, lemma2_lhs) use math.fsum.  Both orders are fixed, so repeated
+runs are bit-identical.
 
 The conductor surrogate of a grid comes from a root sieve (the line
 sieve of C. Pomerance, "The quadratic sieve factoring algorithm",
@@ -70,7 +71,6 @@ __all__ = [
     "U1",
     "U2",
     "rank_bound",
-    "prime_terms",
     "prime_sums",
     "rank_bound_terms",
     "average_rank_experiment",
@@ -264,46 +264,42 @@ def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: list[int] | None
     return math.log(n) / logX + (2.0 / logX) * u1 + (2.0 / logX) * u2 + C0 / logX
 
 
-def prime_terms(
-    R: np.ndarray, S: np.ndarray, X: float, lo: int = 5
-) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
-    """Per-prime explicit-formula terms of a family, in increasing p.
+def _add_terms(u1: np.ndarray, u2: np.ndarray, sig: np.ndarray, p: int, X: float, bad) -> None:
+    """Add one prime's explicit-formula terms of the int64 traces sig to u1 and u2.
 
-    Yields (p, t1, t2) for each prime lo <= p <= X (lo >= 5), from one
-    sieve to X: t1 = -(log p / p) h_X(log p) a_p is the U1 term and
-    t2 = c_{p^2} (2 log p) h_X(2 log p) the U2 term, None once p^2 > X.  R and S are the
-    coefficients of the (minimal) models and broadcast like the arguments
-    of sigma_p_batch: flat arrays, or rv[:, None], sv for a grid.  They
-    may be int64 or Python-int (dtype=object) arrays; each prime reduces
-    them to int64 residues once, and the bad primes of c_{p^2} come from
-    the residues, since p | Delta depends only on r and s mod p.  Each
-    element equals the term that U1 / U2 sum for that curve, bit for bit.
+    The U1 term is -(log p / p) h_X(log p) a_p; the U2 term, only while
+    p^2 <= X, is c_{p^2} (2 log p) h_X(2 log p), whose good / bad case
+    comes from bad(), the cells with p | Delta, asked for only then.
+    Each term equals the one the scalar U1 / U2 add for that curve, bit
+    for bit.
     """
-    for p in sieve_primes(int(X), lo):
-        rm = np.asarray(R % p, dtype=np.int64)
-        sm = np.asarray(S % p, dtype=np.int64)
-        sig = sigma_p_batch(rm, sm, p)
-        lp = math.log(p)
-        t1 = -(lp / p) * h_X(lp, X) * sig
-        t2 = None
-        if p * p <= X:
-            # |discriminant(rm, sm)| < 64 p^3 + 432 p^2 fits int64 for X < 2.5e11
-            bad = discriminant(rm, sm) % p == 0
-            c = np.where(bad, -(sig * sig) / (2.0 * p * p), -(sig * sig - 2.0 * p) / (2.0 * p * p))
-            t2 = c * 2.0 * lp * h_X(2.0 * lp, X)
-        yield p, t1, t2
+    lp = math.log(p)
+    u1 += -(lp / p) * h_X(lp, X) * sig
+    if p * p <= X:
+        c = np.where(bad(), -(sig * sig) / (2.0 * p * p), -(sig * sig - 2.0 * p) / (2.0 * p * p))
+        u2 += c * 2.0 * lp * h_X(2.0 * lp, X)
 
 
 def prime_sums(R: np.ndarray, S: np.ndarray, X: float, lo: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """(U1, U2) arrays of the broadcast shape of R and S: each prime_terms
-    yield added with += from 0.0 in increasing p, so memory is O(curves)
-    and each element equals the scalar U1 / U2 (lo = 5) bit for bit."""
+    """(U1, U2) arrays of the broadcast shape of R and S, from one sieve of
+    the primes lo <= p <= X (lo >= 5).
+
+    R and S are int64 coefficients of (minimal) models and broadcast like
+    the arguments of sigma_p_batch: flat arrays, or rv[:, None], sv for a
+    grid.  Each prime's terms are added with += from 0.0 in increasing p,
+    so memory is O(curves) and each element equals the scalar U1 / U2
+    (lo = 5) bit for bit.  The bad primes of c_{p^2} are read off the
+    residues, since p | Delta depends only on r and s mod p.
+    """
     u1 = np.zeros(np.broadcast_shapes(np.shape(R), np.shape(S)))
     u2 = np.zeros(u1.shape)
-    for _, t1, t2 in prime_terms(R, S, X, lo):
-        u1 += t1
-        if t2 is not None:
-            u2 += t2
+    for p in sieve_primes(int(X), lo):
+        rm, sm = R % p, S % p
+        # bound until the next prime's traces exist, so the heap keeps their
+        # size: the box's next arrays reuse it instead of faulting in new pages
+        sig = sigma_p_batch(rm, sm, p)
+        # |discriminant(rm, sm)| < 64 p^3 + 432 p^2 fits int64 for X < 2.5e11
+        _add_terms(u1, u2, sig, p, X, lambda: discriminant(rm, sm) % p == 0)
     return u1, u2
 
 

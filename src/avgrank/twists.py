@@ -6,18 +6,22 @@ part, sign of D, and 2-adic valuation.  twist_batch takes the fundamental
 discriminants of one weight support as one int64 array and computes their
 weights and root-number signs in array passes.  The average-rank
 experiment takes the rows of nonzero weight from every support of a
-command and reduces all of them to their minimal
-models in one array pass, with d and the conductor surrogate read off the
-one factorisation of the base discriminant and the residues of D.  The
-prime sums of all minimal twists then come from one families.prime_sums
-pass, the batch route of the box family, on Python-int arrays, so each
-curve's U1 and U2 equal the scalar U1 / U2 bit for bit and memory stays
-O(rows).  Each root-number class is a mask of the rows,
-summed once, and the class triples are read off the kept D.
-The traces are those of the minimal models, not chi_D(p) a_p(E): the two
-differ when p | D and star_map divides p out of the twist.  The scalar
-root_number, class_decompose, star_map and conductor_surrogate are the
-oracles of these array steps.
+command and reduces all of them to their minimal models in one array
+pass, with d and the conductor surrogate read off the one factorisation
+of the base discriminant and the residues of D.  Their prime sums use
+a_p(E_D) = chi_D(p) a_p(E): the minimal twist is (u^2 r, u^3 s) mod p
+with u = D / d^2, and the substitution of the curves module gives
+sigma_p(u^2 r, u^3 s) = chi(u) sigma_p(r, s) = chi_D(p) sigma_p(r, s),
+both sides 0 when p | D.  The one exception is p | d, where star_map
+divides p out of the twist; d has only primes of Delta_E, so at each
+prime p >= 5 off Delta_E the traces of all rows are one scalar sigma_p
+of the base times one gather of the Legendre table at D mod p, and only
+the few primes of Delta_E read the minimal models' own residues.  Each
+curve's U1 and U2 equal the scalar U1 / U2 of its minimal twist bit for
+bit, and memory stays O(rows).  Each root-number class is a mask of the
+rows, summed once, and the class triples are read off the kept D.  The
+scalar root_number, class_decompose, star_map and conductor_surrogate
+are the oracles of these array steps.
 
 poisson_twist_check verifies the Poisson / Gauss-sum dual-sum identity
 used to average character sums over twists, by computing both sides
@@ -38,10 +42,11 @@ from .arith import (
     kronecker,
     legendre,
     moebius,
+    residue_table,
     sieve_primes,
 )
-from .curves import Curve, _valuation, discriminant, sigma_p
-from .families import _bound, _wavg, prime_sums
+from .curves import Curve, _valuation, discriminant, sigma_p, sigma_p_batch
+from .families import _add_terms, _bound, _wavg
 from .weights import QuadratureError, SmoothWeight, fourier_numeric
 
 __all__ = [
@@ -295,7 +300,8 @@ def twist_average_experiment(
     root number.  One twist_batch per support gives the admissible D; the
     rows of nonzero weight from all supports are reduced to their minimal
     models in one array pass, one factorisation of Delta_E, and their prime
-    sums taken in one prime_sums pass, all twists at once per prime.  The
+    sums taken all twists at once per prime, from chi_D(p) a_p(E) off
+    Delta_E and from the minimal models at the primes of Delta_E.  The
     conductor surrogate takes the known prime divisors of D and of Delta_E.
 
     Each D has one sign, so each root-number class is a mask of the rows:
@@ -327,7 +333,16 @@ def twist_average_experiment(
     sign = w * rows.twist_sign[keep]
     # Python ints: a twisted discriminant D^6 Delta_E / d^12 overflows int64
     R, S, _, cond = _minimal_twists(base, D)
-    u1a, u2a = prime_sums(R, S, X) if len(D) else (np.zeros(0), np.zeros(0))
+    u1a, u2a = np.zeros(len(D)), np.zeros(len(D))
+    for p in sieve_primes(int(X), 5) if len(D) else ():
+        if base.delta % p:  # a_p(E_D) = chi_D(p) a_p(E), and p | Delta exactly when p | D
+            Dm = D % p
+            # int64 before the product: from p = 4099 on, |a_p(E)| may pass the int8 range of the table
+            sig = residue_table(p)[Dm].astype(np.int64) * sigma_p(base.r, base.s, p)
+            _add_terms(u1a, u2a, sig, p, X, lambda: Dm == 0)
+        else:  # p may divide d: the minimal models' own residues
+            rm, sm = (np.asarray(c % p, dtype=np.int64) for c in (R, S))
+            _add_terms(u1a, u2a, sigma_p_batch(rm, sm, p), p, X, lambda: discriminant(rm, sm) % p == 0)
     lt = np.array([math.log(n) for n in cond.tolist()]) / math.log(X)
     bound = _bound(lt, u1a, u2a, X, C0)
     W, avg_bound = {}, {}

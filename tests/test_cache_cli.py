@@ -7,7 +7,6 @@ import resource
 import struct
 import subprocess
 import sys
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,15 +21,12 @@ from avgrank.cache import (
     cache_check,
     cache_load,
     cache_save,
-    u1_sweep,
 )
 from avgrank import cache as cache_mod
 from avgrank import cli, families, moments, twists
 from avgrank.cli import load_curve_data, main
-from avgrank.curves import Curve, ap, sigma_p
-from avgrank.arith import sieve_primes
-from avgrank.families import U1, enumerate_C
-from avgrank.weights import h_X
+from avgrank.curves import Curve, ap
+from avgrank.families import enumerate_C
 
 
 # ---------------------------------------------------------------------------
@@ -52,38 +48,6 @@ def test_cache_build_records_match_ap():
     assert [row[:3] for row in rec] == [[c.r, c.s, p] for c in enumerate_C(20.0) for p in (5, 7, 11, 13)]
     for r, s, p, a in rec:
         assert a == ap(Curve(r, s), p).ap
-
-
-def test_u1_sweep_cache_misses():
-    # a record that matches no (curve, prime) key leaves every value as the
-    # engine computes it, alone or sorted in among the hits; its a_p of 10^6
-    # would show in the sum if it were joined
-    T, X = 20.0, 15.0
-    direct = u1_sweep(T, X)
-    full = cache_build(T, X).records
-    r, s = full[0, :2].tolist()
-    rmax, smax = families.int_root(T, 3), families.int_root(T, 2)
-    lo, hi = -(2**63), 2**63 - 1
-    strays = (
-        [r, s, 6, 10**6],  # falls between the p = 5 and p = 7 records
-        [r, s, 17, 10**6],  # p > X
-        [-rmax - 1, s, 5, 10**6],  # (r, s) outside the box
-        [rmax + 1, s, 5, 10**6],
-        [r, smax + 1, 5, 10**6],
-        [r, -smax - 1, 5, 10**6],
-        [lo, s, 5, 10**6],  # abs(r) wraps here
-        [hi, s, 5, 10**6],
-        [r, hi, 5, 10**6],
-        [lo, lo, lo, 10**6],
-        [hi, hi, hi, 10**6],
-    )
-    for stray in strays:
-        one = np.array([stray], dtype=np.int64)
-        both = np.concatenate((full, one))
-        both = both[np.lexsort(both[:, 2::-1].T)]  # sorted by (r, s, p)
-        for rec in (one, both):
-            assert u1_sweep(T, X, cache=ApCache(records=rec)) == direct, stray
-    assert u1_sweep(T, X, cache=ApCache(records=np.empty((0, 4), dtype=np.int64))) == direct
 
 
 def test_apcache_requires_n_by_4_records():
@@ -125,7 +89,7 @@ def test_cache_load_rejects_bad_magic_and_version(tmp_path):
 
 
 def test_apcache_rejects_unsorted_records():
-    # reversed, the records would make u1_sweep's join miss every one of them
+    # reversed records: cache_save would write a file that cache_check rejects
     rec = cache_build(300.0, 40.0).records
     with pytest.raises(ValueError, match=r"not strictly sorted by \(r, s, p\) at index 1$"):
         ApCache(records=rec[::-1].copy())
@@ -244,63 +208,6 @@ def test_block_validator_matches_full_body_reference(tmp_path, monkeypatch):
             assert (cache_load(path).records == rec).all()
     # every verdict occurred: valid, unsorted and Hasse-violating files
     assert verdicts == {True, "recor", "Hasse"}
-
-
-def test_u1_sweep_cache_equivalence_and_speed(tmp_path):
-    T, X = 300.0, 40.0
-    t0 = time.perf_counter()
-    direct = u1_sweep(T, X)
-    t_direct = time.perf_counter() - t0
-    c = cache_build(T, X)
-    t0 = time.perf_counter()
-    cached = u1_sweep(T, X, cache=c)
-    t_cached = time.perf_counter() - t0
-    assert direct == cached
-    # timing is advisory here (tiny scale); just make sure both ran
-    assert t_direct > 0 and t_cached > 0
-    # the batch route equals the scalar oracle bit for bit
-    primes = sieve_primes(int(X))
-    assert direct == [U1(c, X, primes) for c in enumerate_C(T)]
-
-
-def test_u1_sweep_cache_hits_and_misses():
-    T, X = 300.0, 40.0
-    direct = u1_sweep(T, X)
-    rec = cache_build(T, X).records.copy()
-    # a miss takes the engine's value
-    assert u1_sweep(T, X, cache=ApCache(records=rec[::2])) == direct
-    # a hit is read from the cache: flip the sign of one nonzero a_p
-    i = int(np.flatnonzero(rec[:, 3])[0])
-    r, s, p, a = rec[i].tolist()
-    rec[i, 3] = -a
-    swept = u1_sweep(T, X, cache=ApCache(records=rec))
-    j = [(c.r, c.s) for c in enumerate_C(T)].index((r, s))
-    assert swept[:j] + swept[j + 1 :] == direct[:j] + direct[j + 1 :]
-    assert swept[j] != direct[j]
-
-
-def test_u1_sweep_cache_matches_scalar_reference():
-    # per curve, the sum from 0.0 in increasing p of -(log p / p) h_X(log p) a,
-    # where a is the cached a_p when a record holds it and sigma_p otherwise;
-    # random halves of the records with random sign flips, so hits and
-    # misses interleave
-    T, X = 300.0, 40.0
-    ps = sieve_primes(int(X), 5)
-    curves = list(enumerate_C(T))
-    traces = {(c.r, c.s, p): sigma_p(c.r, c.s, p) for c in curves for p in ps}
-    full = cache_build(T, X).records
-    rng = np.random.default_rng(20)
-    for _ in range(4):
-        rec = full[rng.random(len(full)) < 0.5]
-        rec[rng.random(len(rec)) < 0.5, 3] *= -1
-        a = {**traces, **{(r, s, p): v for r, s, p, v in rec.tolist()}}
-        want = []
-        for c in curves:
-            total = 0.0
-            for p in ps:
-                total += -(math.log(p) / p) * h_X(math.log(p), X) * a[c.r, c.s, p]
-            want.append(total)
-        assert u1_sweep(T, X, cache=ApCache(records=rec)) == want
 
 
 # ---------------------------------------------------------------------------

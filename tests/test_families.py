@@ -29,7 +29,6 @@ from avgrank.families import (
     int_root,
     lemma2_lhs,
     prime_sums,
-    prime_terms,
     rank_bound,
     weight_wT,
 )
@@ -153,31 +152,6 @@ def test_family_grid_respects_filters():
         if weight_wT(c, params) > 0
     }
     assert direct == set(zip(R.tolist(), S.tolist()))
-
-
-def test_prime_terms_int64_and_object_arrays_agree():
-    grid = _box(2.0e4)
-    R, S = grid.cells()
-    X = 200.0
-    primes = sieve_primes(int(X), 5)
-    fast = list(prime_terms(R, S, X))
-    # shifting by the primorial keeps every residue mod p <= X, so the bad
-    # primes read off the residues too, and takes the coefficients far
-    # beyond int64
-    M = math.prod(sieve_primes(int(X)))
-    Ro, So = R.astype(object) + M, S.astype(object) - M
-    slow = list(prime_terms(Ro, So, X))
-    assert [p for p, _, _ in fast] == primes
-    assert [p for p, _, _ in slow] == primes
-    # the grid form: rv[:, None], sv, cut by keep
-    rect = list(prime_terms(grid.rv[:, None], grid.sv, X))
-    assert [p for p, _, _ in rect] == primes
-    for (_, a1, a2), (_, b1, b2), (_, c1, c2) in zip(fast, slow, rect):
-        assert np.array_equal(a1, b1)
-        assert np.array_equal(a1, c1[grid.keep])
-        assert (a2 is None) == (b2 is None) == (c2 is None)
-        assert a2 is None or (np.array_equal(a2, b2) and np.array_equal(a2, c2[grid.keep]))
-    assert sum(t2 is not None for _, _, t2 in fast) == len(sieve_primes(int(math.sqrt(X)), 5))
 
 
 def test_prime_sums_equal_the_scalar_U1_U2_on_every_curve():
@@ -307,7 +281,7 @@ def test_U2_single_term_hand_value():
     want = 0.12 * 2 * math.log(5) * h_X(2 * math.log(5), 30.0)
     assert abs(U2(cur, 30.0, primes) - want) < 1e-12
     assert U2(cur, 24.0, primes) == 0.0
-    # p^2 <= X, as in prime_terms: sqrt of the float below 25 rounds to 5.0
+    # p^2 <= X, as in prime_sums: sqrt of the float below 25 rounds to 5.0
     assert U2(cur, math.nextafter(25.0, 0.0), primes) == 0.0
 
 

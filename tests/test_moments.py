@@ -66,7 +66,7 @@ def test_V_family_matches_scalar():
 
 
 def test_V_family_equals_the_direct_rectangle_sum():
-    # V through prime_terms against the direct sum of (log p / p) h_X(log p)
+    # V through prime_sums against the direct sum of (log p / p) h_X(log p)
     # sigma_p over the D(T) rectangle, bit for bit
     T, X = 1000.0, 300.0
     grid = _box(T, minimal_only=False)

@@ -13,7 +13,7 @@ from avgrank.arith import (
     sieve_primes,
 )
 from avgrank.cli import main
-from avgrank.curves import Curve, conductor_surrogate, discriminant, sigma_p, star_map
+from avgrank.curves import Curve, conductor_surrogate, discriminant, sigma_p, sigma_p_batch, star_map
 from avgrank.families import U1, U2, rank_bound
 from avgrank.twists import (
     IdentityViolatedError,
@@ -30,7 +30,7 @@ from avgrank.twists import (
     twist_curve,
     twisted_pnt_sum,
 )
-from avgrank.weights import bump, triangular_weight
+from avgrank.weights import bump, h_X, triangular_weight
 
 
 def test_twist_curve_delta_scaling():
@@ -254,7 +254,7 @@ def test_twist_average_experiment_empty(monkeypatch):
     assert len(rep.D) > 0 and rep.W[1] > 0 and math.isfinite(rep.avg_bound[1])
     # an empty family takes no prime sums, so it sieves nothing
     calls = []
-    monkeypatch.setattr(twists, "prime_sums", lambda *args: calls.append(args))
+    monkeypatch.setattr(twists, "sieve_primes", lambda *args: calls.append(args) or sieve_primes(*args))
     rep = twist_average_experiment(Curve(1, 1), 49, 1, (bump(0.97, 0.99),), 20.0, 10.0)
     assert calls == []
     for a in (rep.D, rep.sign):
@@ -294,6 +294,48 @@ def test_twist_average_matches_scalar_oracles(r, s, N):
     assert seen_big
     if (r, s) == (25, 125):
         assert 5 in seen_d
+
+
+@pytest.mark.parametrize(
+    "r, s, N, X, delta_primes",
+    [
+        (-2, 3, 389, 5000.0, (211,)),
+        (1, 1, 49, 1000.0, (31,)),
+        (25, 125, 1, 300.0, (5, 31)),
+        (-1, 0, 1, 4300.0, ()),
+    ],
+)
+def test_twist_prime_sums_equal_the_minimal_models_traces(r, s, N, X, delta_primes):
+    # chi_D(p) a_p(E) off Delta_E and the minimal models' residues at its
+    # primes, against sigma_p_batch on every minimal model at every prime,
+    # added with += in the same order: equal, not close.  The rows hold
+    # primes p | D; (25, 125) has d = 5 at 5 | D and (-1, 0) d = 2 at even D
+    # (N = 1 keeps the even D); 31^2 <= X puts a prime of Delta_E on U2's bad
+    # branch; and past X = 4099 some |a_p(E)| > 127 leaves the Legendre
+    # table's int8
+    base, T = Curve(r, s), 2000.0
+    rep = twist_average_experiment(base, N, 1, (bump(0.5, 1.0), bump(-1.0, -0.5)), T, X)
+    R, S, _, _ = _minimal_twists(base, rep.D)
+    primes = sieve_primes(int(X), 5)
+    u1, u2 = np.zeros(len(R)), np.zeros(len(R))
+    for p in primes:
+        rm, sm = (np.asarray(c % p, dtype=np.int64) for c in (R, S))
+        sig = sigma_p_batch(rm, sm, p)
+        lp = math.log(p)
+        t1 = -(lp / p) * h_X(lp, X) * sig
+        if p * p <= X:
+            bad = discriminant(rm, sm) % p == 0
+            c = np.where(bad, -(sig * sig) / (2.0 * p * p), -(sig * sig - 2.0 * p) / (2.0 * p * p))
+            u2 += c * 2.0 * lp * h_X(2.0 * lp, X)
+        u1 += t1
+    assert np.array_equal(rep.U1_raw, u1) and np.array_equal(rep.U2_raw, u2)
+    assert tuple(p for p in primes if base.delta % p == 0) == delta_primes
+    D = rep.D.tolist()
+    assert any(d % p == 0 for d in D for p in primes if p > max(delta_primes, default=0))
+    if r in (25, -1):  # some twist is not minimal
+        assert any(R[i] != r * d * d for i, d in enumerate(D))
+    if X > 4099:
+        assert max(abs(sigma_p(r, s, p)) for p in primes) > 127
 
 
 def test_cli_twists_factorises_the_base_once(tmp_path, monkeypatch):

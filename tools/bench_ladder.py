@@ -15,9 +15,10 @@ Every entry runs RUNS times per checkout.  Per entry the record holds
 the median wall time, every wall time, the median CPU time of the
 process (user + system, from os.wait4), the largest peak RSS (also from
 os.wait4) and a SHA-256 of the output files, so equal digests across
-checkouts show equal bytes.  The "help" entry is a bare process start, and
-"cache build 60 30" a start that loads numpy and the trace engine for
-almost no work.
+checkouts show equal bytes.  Per checkout the record holds its git commit
+(null without .git) and a SHA-256 of its src/avgrank/*.py.  The "help"
+entry is a bare process start, and "cache build 60 30" a start that loads
+numpy and the trace engine for almost no work.
 The "cache check" entries read cache files that the first checkout builds
 once per ladder run, before any timed run.  Only the standard
 library is used, and the script keeps its own memory small: with vfork,
@@ -63,6 +64,12 @@ LADDER = {
     # 5,308 rows x 428 primes: the twists' memory, which must stay O(rows) as X grows
     "twists 2e4 3000": (
         "twists --r 1 --s 1 --N 49 --w 1 --T 2e4 --X 3000 "
+        "--out-csv {out}/twists.csv --out-json {out}/twists.json"
+    ),
+    # the twists profiling case: 30,292 rows x 428 primes, on a base whose
+    # discriminant has the prime 211
+    "twists -2 3 389 -1 1e5 3000": (
+        "twists --r -2 --s 3 --N 389 --w -1 --T 1e5 --X 3000 "
         "--out-csv {out}/twists.csv --out-json {out}/twists.json"
     ),
     # 26,567 CSV rows: the CSV writer at scale
@@ -127,6 +134,15 @@ def git_commit(src: Path) -> str | None:
     return head + ("+dirty" if dirty else "")
 
 
+def source_sha256(src: Path) -> str:
+    """SHA-256 of the tree's src/avgrank/*.py, each file's name and bytes in
+    name order, so a checkout without .git (a git archive copy) is identified too."""
+    digest = hashlib.sha256()
+    for f in sorted((src / "src" / "avgrank").glob("*.py")):
+        digest.update(f.name.encode() + b"\0" + f.read_bytes())
+    return digest.hexdigest()
+
+
 def environment() -> dict:
     probe = subprocess.run(
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"], capture_output=True, text=True
@@ -150,7 +166,10 @@ def main(argv=None) -> int:
     record = {
         "environment": environment(),
         "runs": RUNS,
-        "checkouts": {label: {"commit": git_commit(src), "entries": {}} for label, src in checkouts.items()},
+        "checkouts": {
+            label: {"commit": git_commit(src), "source_sha256": source_sha256(src), "entries": {}}
+            for label, src in checkouts.items()
+        },
     }
     with tempfile.TemporaryDirectory(prefix="ladder-fixtures-") as fixtures:
         first = next(iter(checkouts.values()))
