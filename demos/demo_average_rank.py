@@ -5,22 +5,23 @@ upper bound
 
     rank(E) <= log(N surrogate)/log X + (2/log X)(U1 + U2) + C0/log X
 
-and then average it with the family weights.  At these tiny scales the bound
-is far from sharp -- the point of the demo is to show every ingredient and how
-the pieces are balanced, not to produce a publishable constant.
+and then average it with the box weight w(r / T^(1/3)) w(s / T^(1/2)), where
+w = even_bump() on both axes, so T and X are all the call needs.  At these
+tiny scales the bound is far from sharp -- the point of the demo is to show
+every ingredient and how the pieces are balanced, not to produce a
+publishable constant.
 """
 
 import math
 
 import numpy as np
 
-from avgrank import FamilyParams, average_rank_experiment
+from avgrank import average_rank_experiment
 
 T = 5000.0
 X = 60.0
 
-params = FamilyParams(T=T)
-report = average_rank_experiment(params, X)
+report = average_rank_experiment(T, X)
 
 print(f"family height T = {T:g}, prime cutoff X = {X:g}")
 print(f"curves in the weighted family: {len(report.r)}")

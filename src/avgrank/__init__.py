@@ -40,7 +40,6 @@ _EXPORTS = {
     ),
     "families": (
         "CAVEAT",
-        "FamilyParams",
         "RankBoundReport",
         "S_T",
         "U1",

@@ -223,8 +223,7 @@ def cmd_average_rank(args) -> int:
 
     C0 = float(args.C0 or 0.0)
     try:
-        params = families.FamilyParams(T=float(args.T))
-        report = families.average_rank_experiment(params, float(args.X), C0)
+        report = families.average_rank_experiment(float(args.T), float(args.X), C0)
     except ValueError as exc:
         if "empty family" in str(exc):
             print(f"error: {exc}", file=sys.stderr)

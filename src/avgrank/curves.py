@@ -67,6 +67,9 @@ __all__ = [
     "conductor_surrogate",
 ]
 
+# sigma_p_charsum raises at a residual this large, in the real or imaginary part
+_CHARSUM_TOL = 1e-6
+
 
 class NumericalDriftError(RuntimeError):
     """A floating-point character sum or correlation drifted away from an integer."""
@@ -253,11 +256,11 @@ def _t_sum_table(p: int) -> np.ndarray:
     return g
 
 
-def sigma_p_charsum(r: int, s: int, p: int, tol: float = 1e-6) -> int:
+def sigma_p_charsum(r: int, s: int, p: int) -> int:
     """Trace via the complex double sum -tau_p^{-1} sum_{t,x} (t/p) e_p(t(x^3+rx+s)).
 
     The t = 0 terms vanish since (0/p) = 0.  The result is rounded to the
-    nearest integer; residuals beyond tol raise NumericalDriftError.
+    nearest integer; residuals of _CHARSUM_TOL or more raise NumericalDriftError.
     """
     if p < 5:
         raise ValueError("sigma_p_charsum requires p >= 5")
@@ -266,7 +269,7 @@ def sigma_p_charsum(r: int, s: int, p: int, tol: float = 1e-6) -> int:
     f = ((x * x % p) * x % p + (r % p) * x + s % p) % p
     val = -complex(g[f].sum()) / gauss_sum(p)
     n = round(val.real)
-    if abs(val.imag) >= tol or abs(val.real - n) >= tol:
+    if abs(val.imag) >= _CHARSUM_TOL or abs(val.real - n) >= _CHARSUM_TOL:
         raise NumericalDriftError(
             f"sigma_p_charsum residual too large at (r={r}, s={s}, p={p}): {val}"
         )

@@ -57,10 +57,9 @@ from .curves import (
     is_minimal,
     sigma_p_batch,
 )
-from .weights import SmoothWeight, even_bump, h_X
+from .weights import even_bump, h_X
 
 __all__ = [
-    "FamilyParams",
     "RankBoundReport",
     "CAVEAT",
     "int_root",
@@ -82,6 +81,9 @@ CAVEAT = (
     "C0 is a configurable stand-in (default 0)"
 )
 
+# the weight of both box axes: w(r / T^(1/3)) w(s / T^(1/2))
+_BOX_WEIGHT = even_bump()
+
 
 def int_root(x: float, k: int) -> int:
     """floor(x^(1/k)) computed exactly for x >= 0: Newton's iteration in
@@ -97,26 +99,6 @@ def int_root(x: float, k: int) -> int:
         if nxt >= n:
             return n
         n = nxt
-
-
-class FamilyParams:
-    """The weighted box: T and the r and s weights (a fresh even_bump each
-    when not given).  Its family is C(T) inside the weight support;
-    lemma2_lhs sums over the whole weighted box instead."""
-
-    __slots__ = ("T", "weight_r", "weight_s")
-
-    def __init__(
-        self,
-        T: float,
-        weight_r: SmoothWeight | None = None,
-        weight_s: SmoothWeight | None = None,
-    ):
-        if T < 1:
-            raise ValueError("FamilyParams requires T >= 1")
-        self.T = T
-        self.weight_r = even_bump() if weight_r is None else weight_r
-        self.weight_s = even_bump() if weight_s is None else weight_s
 
 
 def enumerate_D(T: float) -> Iterator[Curve]:
@@ -137,12 +119,9 @@ def enumerate_C(T: float) -> Iterator[Curve]:
             yield cur
 
 
-def weight_wT(curve: Curve, params: FamilyParams) -> float:
-    """w1(r / T^(1/3)) * w2(s / T^(1/2))."""
-    T = params.T
-    return float(params.weight_r(curve.r * T ** (-1 / 3))) * float(
-        params.weight_s(curve.s * T ** (-1 / 2))
-    )
+def weight_wT(curve: Curve, T: float) -> float:
+    """w(r / T^(1/3)) * w(s / T^(1/2)), with w = even_bump()."""
+    return float(_BOX_WEIGHT(curve.r * T ** (-1 / 3))) * float(_BOX_WEIGHT(curve.s * T ** (-1 / 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +167,11 @@ def _product_grid(rv: np.ndarray, sv: np.ndarray, minimal_only: bool) -> BoxGrid
 
 def _box_axes(T: float) -> tuple[np.ndarray, np.ndarray]:
     """The r and s values of the box as int64 arrays.  A T is rejected first
-    when the discriminants -16 (4 r^3 + 27 s^2) overflow int64, or when the
-    box has more cells than 8 bytes each (the int64 outer sum of the
-    singular filter) fit in the machine's physical memory."""
+    when it is below 1, when the discriminants -16 (4 r^3 + 27 s^2) overflow
+    int64, or when the box has more cells than 8 bytes each (the int64 outer
+    sum of the singular filter) fit in the machine's physical memory."""
+    if T < 1:
+        raise ValueError("the box family requires T >= 1")
     rmax, smax = int_root(T, 3), int_root(T, 2)
     if 16 * (4 * rmax**3 + 27 * smax**2) >= 2**63:
         raise ValueError(f"T = {T:g} is too large: the box's discriminants exceed int64")
@@ -201,35 +182,32 @@ def _box_axes(T: float) -> tuple[np.ndarray, np.ndarray]:
 def _box(T: float, minimal_only: bool = True) -> BoxGrid:
     """The unweighted nonsingular box family as a grid; the default gives
     C(T), minimal_only=False gives D(T)."""
-    if T < 1:
-        raise ValueError("the box family requires T >= 1")
     return _product_grid(*_box_axes(T), minimal_only)
 
 
-def _weighted_axes(params: FamilyParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _weighted_axes(T: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(rv, sv, wr, ws): the box's r and s values of positive weight, and
     those weights."""
-    T = params.T
     rv, sv = _box_axes(T)
-    wr = np.asarray(params.weight_r(rv * T ** (-1 / 3)), dtype=np.float64)
-    ws = np.asarray(params.weight_s(sv * T ** (-1 / 2)), dtype=np.float64)
+    wr = np.asarray(_BOX_WEIGHT(rv * T ** (-1 / 3)), dtype=np.float64)
+    ws = np.asarray(_BOX_WEIGHT(sv * T ** (-1 / 2)), dtype=np.float64)
     rin, sin = wr > 0, ws > 0
     return rv[rin], sv[sin], wr[rin], ws[sin]
 
 
-def _weighted_grid(params: FamilyParams) -> tuple[BoxGrid, np.ndarray]:
+def _weighted_grid(T: float) -> tuple[BoxGrid, np.ndarray]:
     """The minimal family inside the weight support, and each member's weight.
 
     Rows and columns of zero weight are dropped before the filters run.
     """
-    rv, sv, wr, ws = _weighted_axes(params)
+    rv, sv, wr, ws = _weighted_axes(T)
     grid = _product_grid(rv, sv, True)
     return grid, np.multiply.outer(wr, ws)[grid.keep]
 
 
-def S_T(params: FamilyParams) -> float:
+def S_T(T: float) -> float:
     """Weighted count sum_{E in C} w_T(E)."""
-    return math.fsum(_weighted_grid(params)[1].tolist())
+    return math.fsum(_weighted_grid(T)[1].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +232,9 @@ def U2(curve: Curve, X: float, primes: list[int]) -> float:
     return total
 
 
-def rank_bound(curve: Curve, X: float, C0: float = 0.0, primes: list[int] | None = None) -> float:
-    """log(N_surrogate)/log X + (2/log X) U1 + (2/log X) U2 + C0/log X; primes, if given, must reach X."""
-    if primes is None:
-        primes = sieve_primes(int(X))
+def rank_bound(curve: Curve, X: float, C0: float = 0.0) -> float:
+    """log(N_surrogate)/log X + (2/log X) U1 + (2/log X) U2 + C0/log X."""
+    primes = sieve_primes(int(X))
     logX = math.log(X)
     n = conductor_surrogate(curve)
     u1, u2 = U1(curve, X, primes), U2(curve, X, primes)
@@ -437,11 +414,14 @@ def _wavg(w: np.ndarray, x: np.ndarray, wsum: float) -> float:
     return math.fsum((w * x).tolist()) / wsum if wsum else math.nan
 
 
-def average_rank_experiment(params: FamilyParams, X: float, C0: float = 0.0) -> RankBoundReport:
-    """Weighted averages of every rank-bound term over the minimal family."""
-    if not 1 < X <= params.T ** (5 / 6):
+def average_rank_experiment(T: float, X: float, C0: float = 0.0) -> RankBoundReport:
+    """Weighted averages of every rank-bound term over the minimal family of
+    the weighted box."""
+    if T < 1:  # before T^(5/6), which is complex for a negative T
+        raise ValueError("the box family requires T >= 1")
+    if not 1 < X <= T ** (5 / 6):
         raise ValueError("average_rank_experiment requires 1 < X <= T^(5/6)")
-    grid, W = _weighted_grid(params)
+    grid, W = _weighted_grid(T)
     if len(W) == 0:
         raise ValueError("empty family: weight support contains no lattice points")
     R, S = grid.cells()
@@ -451,7 +431,7 @@ def average_rank_experiment(params: FamilyParams, X: float, C0: float = 0.0) -> 
     u2_term = (2.0 / logX) * u2
     wsum = math.fsum(W.tolist())
     return RankBoundReport(
-        T=params.T,
+        T=T,
         X=X,
         C0=C0,
         r=R,
@@ -471,15 +451,17 @@ def average_rank_experiment(params: FamilyParams, X: float, C0: float = 0.0) -> 
     )
 
 
-def lemma2_lhs(params: FamilyParams, P: float) -> float:
+def lemma2_lhs(T: float, P: float) -> float:
     """sum_{P < p <= 2P} | sum_{E in D} w_T(E) sigma_p(E) |.
 
-    The inner sum runs over every cell of the weighted box, singular and
-    non-minimal models included.
+    The inner sum runs over every cell of positive weight, non-minimal
+    models included.  No singular cell (-3 t^2, 2 t^3) has positive
+    weight: there |s| <= 2 (T^(1/3) / 3)^(3/2) = 0.385 sqrt(T), and the
+    weight of s / sqrt(T) vanishes below 1/2.
     """
     if P < 5:
         raise ValueError("lemma2_lhs requires P >= 5")
-    rv, sv, wr, ws = _weighted_axes(params)
+    rv, sv, wr, ws = _weighted_axes(T)
     W = np.multiply.outer(wr, ws)
     total = []
     for p in sieve_primes(int(2 * P), P + 1):

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .arith import sieve_primes
+from .arith import _check_memory, sieve_primes
 from .curves import Curve, sigma_p
 from .families import _box, int_root, prime_sums, rank_bound_terms
 from .weights import h_X
@@ -35,6 +35,11 @@ __all__ = [
     "reference_decay",
     "high_rank_census",
 ]
+
+# peak bytes per census row of a density process: the CensusRow, its Python
+# ints and floats, and the CLI's four columns (peak RSS at T = 100, X = 10:
+# 218 MiB at R_max = 10^6 and 406 MiB at 2 10^6, 196 bytes a row)
+_CENSUS_ROW_BYTES = 200
 
 
 class TermType(Enum):
@@ -179,6 +184,7 @@ def high_rank_census(T: float, X: float, C0: float = 0.0, R_max: int = 8) -> Mom
     rmax, smax = int_root(T, 3), int_root(T, 2)
     t = min(math.isqrt(rmax // 3), int_root(smax // 2, 3))
     n_D = (2 * rmax + 1) * (2 * smax + 1) - (2 * t + 1)
+    _check_memory(_CENSUS_ROW_BYTES * (R_max + 1), f"the census to R_max = {R_max}")
     rows = []
     moments = {}  # k -> moment_2k(T, XR, k)
     for R in range(0, R_max + 1):

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .arith import factorize, ramanujan_sum
+from .arith import factorize
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -29,7 +29,6 @@ __all__ = [
     "floor_inequality",
     "dirichlet_tail_check",
     "ramanujan_exponential_oracle",
-    "ramanujan_divisor_sweep",
     "ramanujan_exponential_sweep",
 ]
 
@@ -188,11 +187,6 @@ def ramanujan_exponential_oracle(a: int, b: int) -> int:
     if abs(acc.imag) > 1e-6 or abs(acc.real - n) > 1e-6:
         raise RuntimeError(f"ramanujan exponential sum drifted at (a={a}, b={b}): {acc}")
     return n
-
-
-def ramanujan_divisor_sweep(a_vals, b: int) -> np.ndarray:
-    """c_b(a) over an array of a via the divisor formula."""
-    return np.array([ramanujan_sum(int(a), b) for a in a_vals], dtype=np.int64)
 
 
 def ramanujan_exponential_sweep(a_vals, b: int) -> np.ndarray:

@@ -37,7 +37,6 @@ import numpy as np
 
 from .arith import (
     factorize,
-    gcd,
     is_fundamental_discriminant,
     kronecker,
     legendre,
@@ -65,6 +64,9 @@ __all__ = [
     "theorem4_proportions",
 ]
 
+# poisson_twist_check raises at a residual this large; its dual-sum floor scales with it
+_POISSON_TOL = 1e-6
+
 
 class IdentityViolatedError(RuntimeError):
     """Both sides of the dual-sum identity disagree beyond tolerance."""
@@ -79,7 +81,7 @@ def twist_curve(base: Curve, D: int) -> Curve:
 
 def root_number(w: int, D: int, N: int) -> int:
     """w_D = w * (D / |D|) * chi_D(N), for gcd(D, N) = 1."""
-    if gcd(D, N) != 1:
+    if math.gcd(D, N) != 1:
         raise ValueError(f"root_number requires gcd(D, N) = 1, got D={D}, N={N}")
     return w * (1 if D > 0 else -1) * kronecker(D, N)
 
@@ -387,14 +389,12 @@ def _psi(b: int, n: int) -> int:
     return kronecker(b if b % 4 != 3 else -b, n)
 
 
-def poisson_twist_check(
-    W: SmoothWeight, b: int, p: int, T: float, tol: float = 1e-6
-) -> float:
+def poisson_twist_check(W: SmoothWeight, b: int, p: int, T: float) -> float:
     """Both sides of the Poisson dual-sum identity for psi_p = psi * (./p).
 
     Direct side: sum_n W(n/T) psi_p(n).  Dual side: T G(p)/q times the
     psi_p-weighted sum of W_hat(Tm/q) over m != 0 (the m = 0 term vanishes
-    with psi_p(0)).  Returns the absolute difference; raises if >= tol.
+    with psi_p(0)).  Returns the absolute difference; raises if >= _POISSON_TOL.
     """
     if b % p == 0 or p < 3:
         raise ValueError("need an odd prime p not dividing b")
@@ -411,12 +411,12 @@ def poisson_twist_check(
     G = complex(np.sum(chi * np.exp(2j * np.pi * np.arange(q) / q)))
     # The smooth W makes W_hat decay faster than any power, so the dual
     # sum truncates once a few consecutive terms drop below a floor that
-    # keeps the neglected tail well under tol.  Each term is certified to
+    # keeps the neglected tail well under _POISSON_TOL.  Each term is certified to
     # that floor, so the truncation test is judged on accurate values; a
     # floor beyond the reach of the quadrature fails at once.  W is real,
     # so W_hat(-t) = conj(W_hat(t)) and only positive frequencies need
     # quadrature.
-    floor = tol * math.sqrt(q) / T * 1e-2
+    floor = _POISSON_TOL * math.sqrt(q) / T * 1e-2
     dual = 0j
     misses = 0
     m = 1
@@ -440,7 +440,7 @@ def poisson_twist_check(
         m += 1
     dual *= T * G / q
     residual = float(abs(direct - dual))
-    if residual >= tol:
+    if residual >= _POISSON_TOL:
         raise IdentityViolatedError(
             f"Poisson dual-sum identity violated (b={b}, p={p}, T={T}): residual {residual:.3e}"
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cache as cache_mod
 from . import oracles, twists, weights
-from .arith import sieve_primes
+from .arith import ramanujan_sum, sieve_primes
 from .curves import sigma_p, sigma_p_batch, sigma_p_charsum
 
 __all__ = ["SUITES"]
@@ -38,9 +38,7 @@ def _suite_traces() -> bool:
 def _suite_ramanujan() -> bool:
     for b in range(1, 40):
         for a in range(-10, 11):
-            if oracles.ramanujan_exponential_oracle(a, b) != int(
-                oracles.ramanujan_divisor_sweep([a], b)[0]
-            ):
+            if oracles.ramanujan_exponential_oracle(a, b) != ramanujan_sum(a, b):
                 return False
     return True
 

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,6 @@ from avgrank.arith import (
     euler_phi,
     factorize,
     gauss_sum,
-    gcd,
     is_fundamental_discriminant,
     is_prime,
     kronecker,
@@ -181,6 +181,13 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
+def _run_child(code: str, timeout: float) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(avgrank.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=timeout
+    )
+
+
 def test_factorize_stops_at_a_prime_cofactor():
     # below psi_12 a Miller-Rabin prime ends the division: trial division to
     # the square roots of these cofactors takes from tens of seconds to
@@ -190,14 +197,39 @@ def test_factorize_stops_at_a_prime_cofactor():
         10007**2 * (2**61 - 1): {10007: 2, 2**61 - 1: 1},
     }
     code = f"from avgrank.arith import factorize\nfor n in {list(cases)!r}:\n    print(factorize(n))\n"
-    env = dict(os.environ, PYTHONPATH=str(Path(avgrank.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=10
-    )
+    out = _run_child(code, 10)
     assert out.stdout.splitlines() == [str(f) for f in cases.values()]
 
 
-def test_gcd_zero_convention():
-    assert gcd(7, 0) == 7
-    assert gcd(0, -9) == 9
-    assert gcd(0, 0) == 0
+def test_factorize_splits_a_square_of_a_large_prime():
+    # trial division would run to 2^31 - 1 here: a child process that still
+    # divides runs into the timeout
+    out = _run_child("from avgrank.arith import factorize\nprint(factorize((2**31 - 1)**2))\n", 20)
+    assert out.stdout == str({2**31 - 1: 2}) + "\n"
+
+
+def test_factorize_refuses_what_it_cannot_prove():
+    # 2^89 - 1 is prime and above psi_12, so Miller-Rabin cannot prove it
+    with pytest.raises(ValueError, match=f"cofactor {2**89 - 1} prime"):
+        factorize(11 * (2**89 - 1))
+    # two 47-bit primes: rho needs ~10^7 steps, past the budget
+    with pytest.raises(ValueError, match=r"cannot split the cofactor \d+ within"):
+        factorize((10**14 + 31) * (10**14 + 67))
+
+
+def test_factorize_agrees_with_trial_division_below_1e12():
+    # uniform n, and products of two factors below 10^6, which rho splits
+    rng = random.Random(52)
+    ns = [rng.randrange(1, 10**12) for _ in range(1000)]
+    ns += [rng.randrange(2, 10**6) * rng.randrange(2, 10**6) for _ in range(1000)]
+    ps = np.array(sieve_primes(10**6), dtype=np.int64)
+    for n in ns:
+        want, m = {}, n
+        for p in ps[n % ps == 0].tolist():  # oracle: every prime below 10^6, then one prime left
+            while m % p == 0:
+                want[p] = want.get(p, 0) + 1
+                m //= p
+        if m > 1:
+            want[m] = 1
+        got = factorize(n)
+        assert got == want and list(got) == sorted(got), n

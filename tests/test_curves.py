@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import avgrank
+from avgrank import curves
 from avgrank.arith import sieve_primes
 from avgrank.curves import (
     Curve,
@@ -78,9 +79,10 @@ def test_sigma_p_requires_p_at_least_5():
         sigma_p_charsum(1, 1, 3)
 
 
-def test_sigma_p_charsum_tolerance_guard():
+def test_sigma_p_charsum_tolerance_guard(monkeypatch):
+    monkeypatch.setattr(curves, "_CHARSUM_TOL", 1e-18)
     with pytest.raises(NumericalDriftError):
-        sigma_p_charsum(1, 1, 7, tol=1e-18)
+        sigma_p_charsum(1, 1, 7)
 
 
 def test_sigma_p_batch_matches_scalar():

@@ -13,7 +13,6 @@ from avgrank.arith import factorize, sieve_primes
 from avgrank.curves import Curve, ap, c_pk, conductor_surrogate, discriminant, is_minimal, sigma_p
 from avgrank.families import (
     CAVEAT,
-    FamilyParams,
     S_T,
     U1,
     U2,
@@ -32,7 +31,7 @@ from avgrank.families import (
     rank_bound,
     weight_wT,
 )
-from avgrank.weights import bump, h_X, plateau_bump
+from avgrank.weights import h_X
 
 
 def test_int_root():
@@ -81,12 +80,10 @@ def test_enumerate_C_subset():
 
 
 def test_weight_wT_and_S_T():
-    params = FamilyParams(T=10**4)
-    total = math.fsum(
-        weight_wT(c, params) for c in enumerate_C(10**4)
-    )
-    assert abs(total - S_T(params)) < 1e-9
-    assert S_T(params) > 0
+    total = math.fsum(weight_wT(c, 10**4) for c in enumerate_C(10**4))
+    assert abs(total - S_T(10**4)) < 1e-9
+    # the value before the box weight became a module constant, bit for bit
+    assert repr(S_T(1e4)) == "105.73597359003493"
 
 
 @pytest.mark.parametrize("T", [8.0, 64.0, 2.0e4])
@@ -100,8 +97,14 @@ def test_box_grid_matches_enumeration(T):
 def test_box_grid_requires_T_at_least_1():
     with pytest.raises(ValueError, match="T >= 1"):
         _box(0.5)
+    # average_rank_experiment checks T before X <= T^(5/6), complex for T < 0
+    for T in (0.5, -5.0):
+        with pytest.raises(ValueError, match="T >= 1"):
+            average_rank_experiment(T, 2.0)
     with pytest.raises(ValueError, match="T >= 1"):
-        FamilyParams(T=0.5)
+        S_T(0.5)
+    with pytest.raises(ValueError, match="T >= 1"):
+        lemma2_lhs(0.5, 10.0)
 
 
 def test_box_beyond_int64_is_rejected_before_allocating():
@@ -112,7 +115,7 @@ def test_box_beyond_int64_is_rejected_before_allocating():
         with pytest.raises(ValueError, match="discriminants exceed int64"):
             _box(T)
         with pytest.raises(ValueError, match="discriminants exceed int64"):
-            average_rank_experiment(FamilyParams(T=T), 10.0)
+            average_rank_experiment(T, 10.0)
 
 
 def test_box_beyond_physical_memory_is_rejected_before_allocating(monkeypatch):
@@ -128,18 +131,17 @@ def test_box_beyond_physical_memory_is_rejected_before_allocating(monkeypatch):
 def test_family_grid_is_box_grid_on_weight_support():
     # the support of even_bump is |x| >= 1/2; T = 2e4 keeps (+-16, +-128),
     # which p = 2 makes non-minimal, inside it
-    params = FamilyParams(T=2.0e4)
-    grid, W = _weighted_grid(params)
+    T = 2.0e4
+    grid, W = _weighted_grid(T)
     R, S = grid.cells()
-    expect = [(c, weight_wT(c, params)) for c in enumerate_C(params.T)]
+    expect = [(c, weight_wT(c, T)) for c in enumerate_C(T)]
     expect = [(c, w) for c, w in expect if w > 0]
     assert list(zip(R.tolist(), S.tolist())) == [(c.r, c.s) for c, _ in expect]
     assert np.allclose(W, [w for _, w in expect], rtol=1e-14, atol=0)
 
 
 def test_family_grid_respects_filters():
-    params = FamilyParams(T=5000.0)
-    grid, W = _weighted_grid(params)
+    grid, W = _weighted_grid(5000.0)
     R, S = grid.cells()
     assert (4 * R**3 + 27 * S**2 != 0).all()
     assert (W > 0).all()
@@ -149,7 +151,7 @@ def test_family_grid_respects_filters():
     direct = {
         (c.r, c.s)
         for c in enumerate_C(5000.0)
-        if weight_wT(c, params) > 0
+        if weight_wT(c, 5000.0) > 0
     }
     assert direct == set(zip(R.tolist(), S.tolist()))
 
@@ -184,7 +186,7 @@ def _sieve_cases(R, S):
 @pytest.mark.parametrize("T", [300.0, 2.0e4, 1.0e5])
 def test_root_sieve_matches_trial_division_bitwise(T):
     # the census grid C(T) and the weighted average-rank grid
-    for grid in (_box(T), _weighted_grid(FamilyParams(T=T))[0]):
+    for grid in (_box(T), _weighted_grid(T)[0]):
         R, S = grid.cells()
         got = _conductor_grid(grid)
         want = _conductor_batch(R, discriminant(R, S))
@@ -299,9 +301,8 @@ def test_rank_bound_assembly():
 
 
 def test_average_rank_experiment_consistency():
-    params = FamilyParams(T=2000.0)
     X = 50.0
-    rep = average_rank_experiment(params, X)
+    rep = average_rank_experiment(2000.0, X)
     assert rep.caveat == CAVEAT
     primes = sieve_primes(50)
     logX = math.log(X)
@@ -311,7 +312,7 @@ def test_average_rank_experiment_consistency():
         assert rep.U1_term[i] == (2 / logX) * U1(cur, X, primes)
         assert rep.U2_term[i] == (2 / logX) * U2(cur, X, primes)
         assert abs(rep.logN_term[i] - math.log(conductor_surrogate(cur)) / logX) < 1e-10
-        assert abs(rep.bound[i] - rank_bound(cur, X, 0.0, primes)) < 1e-10
+        assert abs(rep.bound[i] - rank_bound(cur, X)) < 1e-10
     # weighted averages recompute
     wsum = math.fsum(rep.weight.tolist())
     assert abs(wsum - rep.S_T) < 1e-12
@@ -320,28 +321,24 @@ def test_average_rank_experiment_consistency():
 
 def test_average_rank_experiment_validation():
     with pytest.raises(ValueError, match="X <="):
-        average_rank_experiment(FamilyParams(T=100.0), 1000.0)
-    tiny = FamilyParams(
-        T=2.0,
-        weight_r=plateau_bump(0.4, 0.45, 0.41, 0.44),
-        weight_s=plateau_bump(0.4, 0.45, 0.41, 0.44),
-    )
+        average_rank_experiment(100.0, 1000.0)
+    # at T = 8, r / T^(1/3) is 0, +-1/2 or +-1, where the weight vanishes
     with pytest.raises(ValueError, match="empty family"):
-        average_rank_experiment(tiny, 1.7)
+        average_rank_experiment(8.0, 5.0)
 
 
 def test_lemma2_lhs_small():
-    # the inner sum runs over every (r, s) of the box.  The second weights
-    # reach the singular (-3, +-2) and the non-minimal (0, 0), which the
-    # even_bump support |x| >= 1/2 leaves out at T = 500
-    full = bump(-1.0, 1.0)
-    for params in (FamilyParams(T=500.0), FamilyParams(T=500.0, weight_r=full, weight_s=full)):
-        val = lemma2_lhs(params, 10.0)
-        assert val > 0
-        rmax, smax = int_root(params.T, 3), int_root(params.T, 2)
-        box = [Curve(r, s) for r in range(-rmax, rmax + 1) for s in range(-smax, smax + 1)]
-        total = math.fsum(
-            abs(math.fsum(weight_wT(c, params) * sigma_p(c.r, c.s, p) for c in box))
-            for p in [11, 13, 17, 19]
-        )
-        assert abs(val - total) < 1e-9
+    # the inner sum runs over every (r, s) of positive weight; at T = 2e4
+    # those include the non-minimal (+-16, +-128)
+    T = 2.0e4
+    assert not is_minimal(16, 128) and weight_wT(Curve(-16, -128), T) > 0
+    val = lemma2_lhs(T, 10.0)
+    rmax, smax = int_root(T, 3), int_root(T, 2)
+    cells = [Curve(r, s) for r in range(-rmax, rmax + 1) for s in range(-smax, smax + 1)]
+    weighted = [(c, w) for c in cells if (w := weight_wT(c, T)) > 0]
+    total = math.fsum(
+        abs(math.fsum(w * sigma_p(c.r, c.s, p) for c, w in weighted)) for p in [11, 13, 17, 19]
+    )
+    assert abs(val - total) < 1e-9
+    # the value before the box weight became a module constant, bit for bit
+    assert repr(val) == "0.3428802295429417"

@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from avgrank.arith import sieve_primes
+from avgrank.cli import main
 from avgrank.curves import Curve, sigma_p, sigma_p_batch
 from avgrank import moments
 from avgrank.families import U1, _box, enumerate_C, enumerate_D, rank_bound
@@ -183,9 +185,27 @@ def test_high_rank_census_n_D_is_the_box_minus_its_singular_cells(T):
 def test_high_rank_census_matches_scalar_rank_bound():
     T, X, C0 = 600.0, 50.0, 0.3
     rep = high_rank_census(T, X, C0, R_max=8)
-    primes = sieve_primes(int(X))
-    bounds = [rank_bound(cur, X, C0, primes) for cur in enumerate_C(T)]
+    bounds = [rank_bound(cur, X, C0) for cur in enumerate_C(T)]
     assert [row.census for row in rep.rows] == [sum(b >= R for b in bounds) for R in range(9)]
+
+
+def test_high_rank_census_checks_the_rows_memory_before_the_loop(monkeypatch, tmp_path):
+    # 1 GiB of physical memory admits 5.4e6 rows at 200 bytes each
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**18}.__getitem__)
+    assert len(high_rank_census(100.0, 10.0, R_max=8).rows) == 9
+
+    def no_rows(R):
+        raise AssertionError("the census loop ran before the memory check")
+
+    monkeypatch.setattr(moments, "reference_decay", no_rows)
+    with pytest.raises(ValueError) as exc:
+        high_rank_census(100.0, 10.0, R_max=10**9)
+    assert str(exc.value) == (
+        "the census to R_max = 1000000000 needs 186 GiB, more than the 1 GiB of physical memory"
+    )
+    out = ["--out-csv", str(tmp_path / "d.csv"), "--out-json", str(tmp_path / "d.json")]
+    assert main(["density", "--T", "100", "--X", "10", "--R-max", str(10**9), *out]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_high_rank_census_rejects_degenerate_X_and_T():

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,7 +293,7 @@ def test_twist_average_matches_scalar_oracles(r, s, N):
         assert rep.U2_raw[i] == U2(minimal, X, primes)
         n = conductor_surrogate(minimal)
         assert rep.logN_term[i] == math.log(n) / logX
-        assert rep.bound[i] == rank_bound(minimal, X, 0.0, primes)
+        assert rep.bound[i] == rank_bound(minimal, X)
     # an odd-square or unit N leaves one sign class per weight, and it can be empty
     assert set(rep.sign.tolist()) == {1, -1}
     assert seen_big
@@ -365,6 +370,24 @@ def test_cli_twists_factorises_the_base_once(tmp_path, monkeypatch):
     assert minimal == [len((tmp_path / "t.csv").read_text().splitlines()) - 1]
 
 
+def test_cli_twists_exits_2_on_a_base_it_cannot_factor(tmp_path):
+    # |Delta_E| = 432 q^2 for the Mersenne prime q = 2^89 - 1 > psi_12: rho
+    # cannot split q^2 within its budget.  Trial division to q would not end,
+    # so the command runs in a child process under a timeout
+    q = 2**89 - 1
+    env = dict(os.environ, PYTHONPATH=str(Path(twists.__file__).parents[1]))
+    argv = ["twists", "--r", "0", "--s", str(q), "--N", "1", "--w", "1", "--T", "100", "--X", "10"]
+    argv += ["--out-csv", str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json")]
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "avgrank.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: factorize: cannot split the cofactor {q * q} within 1048576 rho steps\n"
+    assert time.monotonic() - start < 10
+    assert not list(tmp_path.iterdir())
+
+
 def test_twist_minimal_trace_is_not_the_character_shortcut():
     # twist of (25, 125) by D = 5 is (5^4, 5^6) times (1, 1): star_map divides
     # out d = 5, and a_5 of the minimal model is -3, where chi_5(5) a_5(E) = 0
@@ -406,7 +429,7 @@ def test_twisted_pnt_sum_checks_D_before_the_empty_range():
         twisted_pnt_sum(Curve(1, 1), 6, 3.0)
 
 
-def test_poisson_twist_check_small():
+def test_poisson_twist_check_small(monkeypatch):
     w = bump(1.0, 2.0)
     res = poisson_twist_check(w, 1, 5, 100.0)
     assert res < 1e-6
@@ -417,8 +440,9 @@ def test_poisson_twist_check_small():
     assert res < 1e-6
     # the first dual term cannot be certified to the floor: fail at once,
     # not after 5000 terms
+    monkeypatch.setattr(twists, "_POISSON_TOL", 1e-30)
     with pytest.raises(IdentityViolatedError, match="cannot be certified"):
-        poisson_twist_check(w, 1, 5, 100.0, tol=1e-30)
+        poisson_twist_check(w, 1, 5, 100.0)
     with pytest.raises(ValueError):
         poisson_twist_check(w, 8, 2, 100.0)
 
