@@ -55,21 +55,17 @@ _EXPORTS = {
     "moments": (
         "CensusRow",
         "MomentReport",
-        "TermType",
         "V",
         "V_family",
-        "classify_type",
         "density_bound",
         "high_rank_census",
         "moment_2k",
-        "multinomial_C",
         "optimal_k",
         "reference_decay",
         "type1_S",
     ),
     "oracles": (
         "GcdSumResult",
-        "dirichlet_tail_check",
         "floor_inequality",
         "gcd_sum_S",
         "ramanujan_exponential_oracle",
@@ -87,7 +83,6 @@ _EXPORTS = {
         "twist_average_experiment",
         "twist_batch",
         "twist_curve",
-        "twisted_pnt_sum",
     ),
     "weights": (
         "QuadratureError",

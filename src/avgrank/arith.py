@@ -26,15 +26,13 @@ __all__ = [
     "kronecker",
     "gauss_sum",
     "ramanujan_sum",
-    "squarefree_kernel",
     "is_fundamental_discriminant",
     "moebius",
-    "euler_phi",
     "factorize",
 ]
 
 
-def _check_memory(need: int, subject: str) -> None:
+def _check_memory(need: float, subject: str) -> None:
     """Raise ValueError when need bytes exceed the machine's physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -266,25 +264,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for e in f.values()):
         return 0
     return -1 if len(f) % 2 else 1
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi requires n >= 1")
-    out = n
-    for p in factorize(n):
-        out -= out // p
-    return out
-
-
-def squarefree_kernel(n: int) -> int:
-    """Radical: product of the distinct primes dividing n."""
-    if n < 1:
-        raise ValueError("squarefree_kernel requires n >= 1")
-    out = 1
-    for p in factorize(n):
-        out *= p
-    return out
 
 
 def divisors(n: int) -> list[int]:

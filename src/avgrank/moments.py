@@ -10,8 +10,7 @@ alongside for comparison.
 from __future__ import annotations
 
 import math
-from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .families import _box, int_root, prime_sums, rank_bound_terms
 from .weights import h_X
 
 __all__ = [
-    "TermType",
     "MomentReport",
     "CensusRow",
     "V",
@@ -29,9 +27,7 @@ __all__ = [
     "moment_2k",
     "density_bound",
     "type1_S",
-    "multinomial_C",
     "optimal_k",
-    "classify_type",
     "reference_decay",
     "high_rank_census",
 ]
@@ -40,11 +36,6 @@ __all__ = [
 # ints and floats, and the CLI's four columns (peak RSS at T = 100, X = 10:
 # 218 MiB at R_max = 10^6 and 406 MiB at 2 10^6, 196 bytes a row)
 _CENSUS_ROW_BYTES = 200
-
-
-class TermType(Enum):
-    TYPE_I = "I"  # every exponent is 0 or >= 2
-    TYPE_II = "II"  # some exponent equals 1
 
 
 def V(curve: Curve, X: float, primes: list[int]) -> float:
@@ -113,24 +104,6 @@ def type1_S(X: float) -> float:
     return math.fsum(terms.tolist())
 
 
-def multinomial_C(e: Sequence[int]) -> int:
-    """(2k)! / prod(e_p!) for an exponent vector summing to 2k."""
-    if any(x < 0 for x in e):
-        raise ValueError("exponents must be nonnegative")
-    total = sum(e)
-    if total % 2 != 0 or total == 0:
-        raise ValueError("exponent vector must sum to a positive even integer")
-    out = math.factorial(total)
-    for x in e:
-        out //= math.factorial(x)
-    return out
-
-
-def classify_type(e: Sequence[int]) -> TermType:
-    """Type I iff no exponent equals exactly 1."""
-    return TermType.TYPE_II if any(x == 1 for x in e) else TermType.TYPE_I
-
-
 def reference_decay(R: int) -> float:
     """(3R/2)^(-R/12); the faster-than-exponential reference curve."""
     if R == 0:
@@ -178,13 +151,13 @@ def high_rank_census(T: float, X: float, C0: float = 0.0, R_max: int = 8) -> Mom
     """
     if X <= 1 or T <= math.e:
         raise ValueError("high_rank_census requires X > 1 and T > e")
+    _check_memory(_CENSUS_ROW_BYTES * (R_max + 1), f"the census to R_max = {R_max}")
     grid = _box(T)
     bounds = rank_bound_terms(grid, X, C0)[3]
     n_C = len(grid)
     rmax, smax = int_root(T, 3), int_root(T, 2)
     t = min(math.isqrt(rmax // 3), int_root(smax // 2, 3))
     n_D = (2 * rmax + 1) * (2 * smax + 1) - (2 * t + 1)
-    _check_memory(_CENSUS_ROW_BYTES * (R_max + 1), f"the census to R_max = {R_max}")
     rows = []
     moments = {}  # k -> moment_2k(T, XR, k)
     for R in range(0, R_max + 1):

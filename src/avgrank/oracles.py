@@ -27,7 +27,6 @@ __all__ = [
     "beta_of",
     "gamma_of",
     "floor_inequality",
-    "dirichlet_tail_check",
     "ramanujan_exponential_oracle",
     "ramanujan_exponential_sweep",
 ]
@@ -141,24 +140,6 @@ def floor_inequality(e: int, f: int) -> bool:
     lhs = e // 3 - (e + 1) // 2
     rhs = e - (e + 1) // 2 - 2 * b - max(e - 3 * b, 0)
     return lhs >= rhs
-
-
-def dirichlet_tail_check(U: int) -> tuple[int, Fraction]:
-    """Exact partial sums (sum f(d), sum g(d)) over d <= U^2.
-
-    The f sum grows barely faster than U^2 and the g sum barely at all;
-    the ratios sum_f / U^2.1 and sum_g / U^0.1 are eventually
-    nonincreasing along a doubling ladder of U, which is how the tail
-    estimates get sanity-checked.  For U = 2 the range is d in {1, 2, 3, 4}
-    and the sums are 1+1+1+2 = 5 and 1 + 1/2 + 1/3 + 1/2 = 7/3.
-    """
-    from fractions import Fraction
-
-    if U < 1:
-        raise ValueError("requires U >= 1")
-    sum_f = sum(f_of(d) for d in range(1, U * U + 1))
-    sum_g = sum((g_of(d) for d in range(1, U * U + 1)), Fraction(0))
-    return sum_f, sum_g
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .arith import (
+    _check_memory,
     factorize,
     is_fundamental_discriminant,
     kronecker,
@@ -59,11 +60,15 @@ __all__ = [
     "class_decompose",
     "sieve_indicator_X",
     "twist_average_experiment",
-    "twisted_pnt_sum",
     "poisson_twist_check",
     "theorem4_proportions",
 ]
 
+# peak bytes per integer D of the weight supports' range in a twists process:
+# the int64 sieve arrays, and the Python-int arrays of the minimal twists
+# (peak RSS of twists --r -2 --s 3 --N 389 --w -1 --X 10 at T = 1e6, 2e6
+# and 4e6: 157, 293 and 550 MiB, 135 to 143 bytes per D)
+_TWIST_BYTES_PER_D = 145
 # poisson_twist_check raises at a residual this large; its dual-sum floor scales with it
 _POISSON_TOL = 1e-6
 
@@ -312,6 +317,9 @@ def twist_average_experiment(
     supports the rows come from.  The class triples of class_sign_map are
     read off the kept D.  W_unsigned is the plain left-to-right sum of
     every batch's weights, zeros included, in the order of weights.
+
+    A T is rejected before any batch is built when the supports' range of
+    D, at _TWIST_BYTES_PER_D bytes each, exceeds physical memory.
     """
     if w not in (-1, 1):
         raise ValueError("w and sign must be +-1")
@@ -323,6 +331,8 @@ def twist_average_experiment(
             raise ValueError("twist weight support must avoid 0")
     if not 1 < X <= T * T:
         raise ValueError("twist_average_experiment requires 1 < X <= T^2")
+    span = T * sum(hi - lo for lo, hi in (weight.support for weight in weights))
+    _check_memory(_TWIST_BYTES_PER_D * span, f"T = {T:g} is too large: the twist family")
     batches = [twist_batch(N, weight, T) for weight in weights]
     # every batch's rows, support after support
     rows = TwistBatch(*(np.concatenate(col) for col in zip(*batches)))
@@ -363,23 +373,6 @@ def twist_average_experiment(
         W_unsigned=W_unsigned, W=W, avg_bound=avg_bound,
         class_sign_map=class_sign_map,
     )
-
-
-def twisted_pnt_sum(base: Curve, D: int, x: float) -> float:
-    """sum_{5 <= p <= x} (a_p(E) / p) chi_D(p) log p.
-
-    Primes 2 and 3 are excluded throughout, matching the p >= 5 convention
-    of every other prime sum here.
-    """
-    if D != 1 and not is_fundamental_discriminant(D):
-        raise ValueError("D must be 1 or a fundamental discriminant")
-    terms = []
-    for p in sieve_primes(int(x), 5):
-        chi = kronecker(D, p) if D != 1 else 1
-        if chi == 0:
-            continue
-        terms.append(sigma_p(base.r, base.s, p) / p * chi * math.log(p))
-    return math.fsum(terms)
 
 
 def _psi(b: int, n: int) -> int:

@@ -13,7 +13,6 @@ import pytest
 import avgrank
 from avgrank.arith import (
     divisors,
-    euler_phi,
     factorize,
     gauss_sum,
     is_fundamental_discriminant,
@@ -24,7 +23,6 @@ from avgrank.arith import (
     ramanujan_sum,
     residue_table,
     sieve_primes,
-    squarefree_kernel,
 )
 
 PRIMES_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -151,9 +149,9 @@ def test_gauss_sum_squares():
 
 
 def test_ramanujan_sum_known_values():
-    # c_b(0) = phi(b); c_b(1) = mu(b)
+    # c_b(0) = phi(b), the count of units mod b; c_b(1) = mu(b)
     for b in range(1, 50):
-        assert ramanujan_sum(0, b) == euler_phi(b)
+        assert ramanujan_sum(0, b) == sum(math.gcd(j, b) == 1 for j in range(1, b + 1))
         assert ramanujan_sum(1, b) == moebius(b)
     assert ramanujan_sum(2, 4) == -2
     assert ramanujan_sum(4, 8) == -4
@@ -161,12 +159,9 @@ def test_ramanujan_sum_known_values():
 
 def test_moebius_and_phi():
     assert [moebius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    assert [euler_phi(n) for n in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
 
 
-def test_squarefree_kernel_and_divisors():
-    assert squarefree_kernel(1) == 1
-    assert squarefree_kernel(360) == 30
+def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
 

@@ -465,12 +465,16 @@ def test_cli_sieve_beyond_memory_exits_2_before_writing(tmp_path, capsys, monkey
     # the box passes and the sieve is refused.  cache build: 64 KiB of
     # physical memory and the sieve to 2e4.  density: X <= T^(5/6) keeps the
     # box (checked first) above the sieve but at tiny X; at T = 4 the box
-    # needs 120 bytes and the sieve to 3 needs 175, so 150 bytes lie between
+    # needs 120 bytes and the sieve to 3 needs 175, so 150 bytes lie between.
+    # The census rows, checked before the box, need 200 bytes even at
+    # R_max = 0, more than any sieve so small a box admits, so here they
+    # are counted at 0 bytes
     memory, flags, limit = {
         "density": (150, ("--T", "4", "--X", "3"), 3),
         "cache build": (2**16, ("--X", "2e4"), 20000),
     }[cmd]
     monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}.__getitem__)
+    monkeypatch.setattr(moments, "_CENSUS_ROW_BYTES", 0)
     rc = run_cli(_argv(cmd, tmp_path, *flags))
     assert rc == 2
     assert f"the prime sieve to {limit} needs" in _one_error_line(capsys)

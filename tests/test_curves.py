@@ -15,6 +15,7 @@ from avgrank.arith import sieve_primes
 from avgrank.curves import (
     Curve,
     _class_tables,
+    _minimality_bound,
     NumericalDriftError,
     TraceData,
     ap,
@@ -232,6 +233,15 @@ def test_is_minimal():
     assert not is_minimal(0, 64)  # 2^6 | 64, 2^4 | 0
     assert not is_minimal(2 * 3**4, 0)  # 3^4 | r and 3^6 | 0
     assert is_minimal(16, 32)  # 2^6 does not divide 32
+
+
+
+def test_minimality_bound_reaches_every_scale_prime():
+    # is_minimal and star_map sieve the primes up to the bound, so every p
+    # with p^4 | r and p^6 | s must lie within it, zero coefficients included
+    for p in sieve_primes(200):
+        for r, s in [(p**4, p**6), (-3 * p**4, p**7), (0, 5 * p**6), (7 * p**4, 0), (p**5, -(p**6))]:
+            assert p <= _minimality_bound(r, s), (p, r, s)
 
 
 def test_star_map():

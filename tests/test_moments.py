@@ -10,15 +10,12 @@ from avgrank.curves import Curve, sigma_p, sigma_p_batch
 from avgrank import moments
 from avgrank.families import U1, _box, enumerate_C, enumerate_D, rank_bound
 from avgrank.moments import (
-    TermType,
     V,
     _markov,
     V_family,
-    classify_type,
     density_bound,
     high_rank_census,
     moment_2k,
-    multinomial_C,
     optimal_k,
     reference_decay,
     type1_S,
@@ -131,24 +128,6 @@ def test_type1_S():
     assert abs(r7 - 1 / 3) < abs(r5 - 1 / 3)
 
 
-def test_multinomial_C():
-    assert multinomial_C([2]) == 1
-    assert multinomial_C([1, 1]) == 2
-    assert multinomial_C([2, 2]) == 6
-    assert multinomial_C([4, 1, 1]) == 30
-    with pytest.raises(ValueError):
-        multinomial_C([1])  # odd sum
-    with pytest.raises(ValueError):
-        multinomial_C([-2, 4])
-
-
-def test_classify_type():
-    assert classify_type([2, 4]) is TermType.TYPE_I
-    assert classify_type([0, 2]) is TermType.TYPE_I
-    assert classify_type([1, 3]) is TermType.TYPE_II
-    assert classify_type([2, 1, 1]) is TermType.TYPE_II
-
-
 def test_reference_decay_and_optimal_k():
     assert reference_decay(0) == 1.0
     assert abs(reference_decay(4) - 6.0 ** (-1 / 3)) < 1e-15
@@ -206,6 +185,16 @@ def test_high_rank_census_checks_the_rows_memory_before_the_loop(monkeypatch, tm
     out = ["--out-csv", str(tmp_path / "d.csv"), "--out-json", str(tmp_path / "d.json")]
     assert main(["density", "--T", "100", "--X", "10", "--R-max", str(10**9), *out]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+
+def test_high_rank_census_checks_the_rows_memory_before_the_box(monkeypatch):
+    def no_box(*args, **kwargs):
+        raise AssertionError("the box was built before the rows' memory check")
+
+    monkeypatch.setattr(moments, "_box", no_box)
+    with pytest.raises(ValueError, match=r"^the census to R_max = 10000000000000 needs "):
+        high_rank_census(1e4, 10.0, R_max=10**13)
 
 
 def test_high_rank_census_rejects_degenerate_X_and_T():

@@ -7,7 +7,6 @@ from avgrank.arith import factorize, ramanujan_sum
 from avgrank.oracles import (
     beta_of,
     delta_of,
-    dirichlet_tail_check,
     f_of,
     floor_inequality,
     g_of,
@@ -76,22 +75,6 @@ def test_floor_inequality_exhaustive_small():
     for e in range(0, 120):
         for f in range(0, e + 1):
             assert floor_inequality(e, f)
-
-
-def test_dirichlet_tail_check():
-    assert dirichlet_tail_check(2) == (5, Fraction(7, 3))
-    # exact recomputation at a larger cutoff
-    from avgrank.oracles import f_of, g_of
-
-    sf, sg = dirichlet_tail_check(10)
-    assert sf == sum(f_of(d) for d in range(1, 101))
-    assert sg == sum((g_of(d) for d in range(1, 101)), Fraction(0))
-    # the raw sums grow roughly like U^2 log U and log^2 U: far below
-    # U^2.5 and U respectively on a doubling ladder
-    for U in (2, 4, 8, 16, 32):
-        f, g = dirichlet_tail_check(U)
-        assert f < 4 * U**2.5
-        assert float(g) < 10 * U
 
 
 def test_ramanujan_exponential_vs_divisor():

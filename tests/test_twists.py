@@ -33,7 +33,6 @@ from avgrank.twists import (
     twist_average_experiment,
     twist_batch,
     twist_curve,
-    twisted_pnt_sum,
 )
 from avgrank.weights import bump, h_X, triangular_weight
 
@@ -402,31 +401,28 @@ def test_twist_average_rejects_large_X():
         twist_average_experiment(Curve(1, 1), 49, 1, (bump(0.2, 1.0),), 10.0, 1000.0)
 
 
-def test_twisted_pnt_sum():
-    base = Curve(1, 1)
-    primes = sieve_primes(100, 5)
-    # D = 1: plain weighted trace sum
-    direct = math.fsum(
-        sigma_p(1, 1, p) / p * math.log(p) for p in primes
-    )
-    assert abs(twisted_pnt_sum(base, 1, 100.0) - direct) < 1e-12
-    # character twist
-    D = 5
-    direct = math.fsum(
-        sigma_p(1, 1, p) / p * kronecker(D, p) * math.log(p)
-        for p in primes
-        if kronecker(D, p) != 0
-    )
-    assert abs(twisted_pnt_sum(base, D, 100.0) - direct) < 1e-12
-    assert twisted_pnt_sum(base, 5, 3.0) == 0.0
-    with pytest.raises(ValueError):
-        twisted_pnt_sum(base, 6, 100.0)  # 6 is not fundamental
 
+def test_twists_beyond_physical_memory_are_rejected_before_any_batch(tmp_path, capsys, monkeypatch):
+    # 1 MiB of physical memory: T = 1e3 needs 145 KB, T = 1e4 needs 1.45 MB
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}.__getitem__)
+    supports = (bump(0.5, 1.0), bump(-1.0, -0.5))
+    assert len(twist_average_experiment(Curve(-2, 3), 389, -1, supports, 1e3, 50.0).D) > 0
 
-def test_twisted_pnt_sum_checks_D_before_the_empty_range():
-    # no prime 5 <= p <= 3, yet 6 is not a fundamental discriminant
-    with pytest.raises(ValueError, match="fundamental discriminant"):
-        twisted_pnt_sum(Curve(1, 1), 6, 3.0)
+    def no_batch(*args):
+        raise AssertionError("a twist batch was built before the memory check")
+
+    monkeypatch.setattr(twists, "twist_batch", no_batch)
+    with pytest.raises(ValueError) as exc:
+        twist_average_experiment(Curve(-2, 3), 389, -1, supports, 1e4, 50.0)
+    assert str(exc.value) == (
+        "T = 10000 is too large: the twist family needs 0.00135 GiB, "
+        "more than the 0.000977 GiB of physical memory"
+    )
+    out = ["--out-csv", str(tmp_path / "t.csv"), "--out-json", str(tmp_path / "t.json")]
+    argv = ["twists", "--r", "-2", "--s", "3", "--N", "389", "--w", "-1", "--T", "1e4", "--X", "50", *out]
+    assert main(argv) == 2
+    assert "the twist family needs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_poisson_twist_check_small(monkeypatch):

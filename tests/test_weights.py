@@ -11,6 +11,7 @@ from avgrank.weights import (
     QuadratureError,
     SmoothWeight,
     _gauss_legendre,
+    _smooth_step,
     bump,
     even_bump,
     fourier_numeric,
@@ -92,6 +93,16 @@ def test_plateau_bump():
     assert 0 < w(0.75) < 1 and 0 < w(2.25) < 1
     with pytest.raises(ValueError):
         plateau_bump(0.5, 2.5, 2.0, 1.0)
+
+
+
+def test_smooth_step():
+    t = np.linspace(-1.0, 2.0, 301)
+    v = _smooth_step(t)
+    assert (v[t <= 0] == 0.0).all() and (v[t >= 1] == 1.0).all()
+    assert (np.diff(v) >= 0).all()
+    mid = v[(t >= 0.1) & (t <= 0.9)]
+    assert (np.diff(mid) > 0).all() and 0 < mid.min() and mid.max() < 1
 
 
 def test_quadrature_error_raised():
